@@ -63,12 +63,13 @@ SearchResult locked_beam_search(const T* query, const PointSet<T>& points,
     Neighbor nb{id, dist};
     auto it = std::lower_bound(beam.begin(), beam.end(), nb);
     if (it != beam.end() && it->id == id) return;
+    // Position before the eviction: pop_back() may invalidate `it`.
+    const auto pos = static_cast<std::size_t>(it - beam.begin());
     if (beam.size() >= L) {
       if (!(nb < beam.back())) return;
       beam.pop_back();
       processed.pop_back();
     }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
     beam.insert(beam.begin() + pos, nb);
     processed.insert(processed.begin() + pos, 0);
   };

@@ -63,11 +63,13 @@ GraphIndex<Metric, T> build_baseline_nndescent(const PointSet<T>& points,
     auto& row = rows[v];
     auto it = std::lower_bound(row.begin(), row.end(), nb);
     if (it != row.end() && it->id == u) return false;
+    // Position before the eviction: pop_back() may invalidate `it`.
+    const auto pos = it - row.begin();
     if (row.size() >= params.k) {
       if (!(nb < row.back())) return false;
       row.pop_back();
     }
-    row.insert(it, nb);
+    row.insert(row.begin() + pos, nb);
     return true;
   };
 

@@ -178,8 +178,7 @@ struct GraphIndex {
 
   std::vector<PointId> query(const T* q, const PointSet<T>& points,
                              const SearchParams& params) const {
-    std::vector<PointId> starts{start};
-    return search_knn<Metric>(q, points, graph, starts, params);
+    return query_full(q, points, params).top_k_ids(params.k);
   }
 
   SearchResult query_full(const T* q, const PointSet<T>& points,

@@ -47,14 +47,17 @@ struct HNSWIndex {
   PointId entry = kInvalidPoint;
   std::uint32_t entry_level = 0;
 
-  // Greedy descend from the entry through layers (top..target+1] with beam 1.
-  PointId descend_to(const T* q, const PointSet<T>& points,
-                     std::uint32_t target_layer) const {
+  // Greedy descent from the entry through layers (top..target+1] with beam
+  // 1. The oracle measures the distances: ExactOracle over the coordinates,
+  // or a quantized view, so a codes-only index never reads a row.
+  template <typename Oracle>
+  PointId descend_to(const Oracle& oracle, std::uint32_t target_layer,
+                     SearchScratch& scratch = local_search_scratch()) const {
     PointId cur = entry;
-    SearchParams one{.beam_width = 1, .k = 1};
+    const SearchParams one{.beam_width = 1, .k = 1};
     for (std::uint32_t l = entry_level; l > target_layer; --l) {
-      std::vector<PointId> starts{cur};
-      auto res = beam_search<Metric>(q, points, layers[l], starts, one);
+      auto res = internal::unfiltered_walk<ApproxVisitedSet>(
+          oracle, layers[l], std::span<const PointId>(&cur, 1), one, scratch);
       if (!res.frontier.empty()) cur = res.frontier[0].id;
     }
     return cur;
@@ -62,15 +65,13 @@ struct HNSWIndex {
 
   std::vector<PointId> query(const T* q, const PointSet<T>& points,
                              const SearchParams& params) const {
-    PointId start = descend_to(q, points, 0);
-    std::vector<PointId> starts{start};
-    return search_knn<Metric>(q, points, layers[0], starts, params);
+    return query_full(q, points, params).top_k_ids(params.k);
   }
 
   SearchResult query_full(const T* q, const PointSet<T>& points,
                           const SearchParams& params) const {
-    PointId start = descend_to(q, points, 0);
-    std::vector<PointId> starts{start};
+    std::vector<PointId> starts{
+        descend_to(ExactOracle<Metric, T>(q, points), 0)};
     return beam_search<Metric>(q, points, layers[0], starts, params);
   }
 };
@@ -148,15 +149,8 @@ HNSWIndex<Metric, T> build_hnsw(const PointSet<T>& points,
       PointId p = batch[i];
       const std::uint32_t p_top = std::min(index.levels[p], link_top);
       out_lists[i].assign(p_top + 1, {});
-      PointId ep = index.entry;
-      // Greedy descent through the layers above p's top.
-      SearchParams one{.beam_width = 1, .k = 1};
-      for (std::uint32_t dl = index.entry_level; dl > p_top; --dl) {
-        std::vector<PointId> st{ep};
-        auto res = beam_search<Metric>(points[p], points, index.layers[dl],
-                                       st, one);
-        if (!res.frontier.empty()) ep = res.frontier[0].id;
-      }
+      PointId ep =
+          index.descend_to(ExactOracle<Metric, T>(points[p], points), p_top);
       // Insertion layers: efc search, prune, carry the closest point down.
       SearchParams search{.beam_width = params.ef_construction, .k = 1};
       for (std::int64_t dl = p_top; dl >= 0; --dl) {

@@ -543,7 +543,8 @@ class HNSWBackend final : public TypedBackend<T> {
       const T* query, const RangeSearchParams& params) const override {
     tier_.require_raw("range_search");
     // Descend the hierarchy to the bottom layer, then beam+flood there.
-    std::vector<PointId> starts{index_.descend_to(query, points_, 0)};
+    std::vector<PointId> starts{
+        index_.descend_to(ExactOracle<Metric, T>(query, points_), 0)};
     return ann::range_search<Metric>(query, points_, index_.layers[0], starts,
                                      params)
         .matches;
@@ -557,7 +558,8 @@ class HNSWBackend final : public TypedBackend<T> {
     tier_.require_raw("filtered_search");
     // The upper layers only route; the predicate applies to the bottom-layer
     // beam, exactly where the unfiltered search forms its results.
-    std::vector<PointId> starts{index_.descend_to(query, points_, 0)};
+    std::vector<PointId> starts{
+        index_.descend_to(ExactOracle<Metric, T>(query, points_), 0)};
     auto res = filtered_beam_search<Metric>(
         query, points_, index_.layers[0], starts, params,
         [&](PointId id) { return filter.matches(id); });
@@ -587,14 +589,7 @@ class HNSWBackend final : public TypedBackend<T> {
     auto qv = tier_.store().bind(query, scratch);
     // The hierarchy descent runs in the compressed domain too (beam-1 ADC
     // per upper layer), so an evicted backend never needs coordinate rows.
-    PointId cur = index_.entry;
-    SearchParams one{.beam_width = 1, .k = 1};
-    for (std::uint32_t l = index_.entry_level; l > 0; --l) {
-      std::vector<PointId> st{cur};
-      auto hop = quantized_beam_search(qv, index_.layers[l], st, one, scratch);
-      if (!hop.frontier.empty()) cur = hop.frontier[0].id;
-    }
-    std::vector<PointId> starts{cur};
+    std::vector<PointId> starts{index_.descend_to(qv, 0, scratch)};
     auto res = quantized_beam_search(qv, index_.layers[0], starts, params,
                                      scratch);
     tier_.finish(query, params, points_, res.frontier);

@@ -4,31 +4,41 @@
 //   * (1+eps) candidate pruning (Iwasaki & Miyazaki): candidates farther
 //     than (1+eps) times the current k-th nearest distance are not queued.
 //
+// Every search in the library is ONE walk, internal::beam_walk, with two
+// compile-time parameters:
+//   * a distance oracle: eval(id) is the query's distance to point id and
+//     prefetch(id) starts loading that point's row. ExactOracle (below)
+//     wraps Metric::prepare(query) over the full-precision rows;
+//     QuantizedQuery (quant/quantized_store.h) evaluates compressed codes.
+//   * an admission policy: AdmitAll makes the beam itself the result
+//     frontier; AdmitMatched keeps a separate predicate-gated result list
+//     (filtered search). Every evaluated point is offered to the policy
+//     BEFORE the beam's worst/epsilon cuts, so a matching point too far to
+//     steer the walk can still be a result.
+// The traversal width Lt is passed in: beam_width everywhere except the
+// filtered wrapper, which widens it by filter_beam_factor.
+//
 // The search is deterministic: the beam is kept sorted by (distance, id), so
 // ties never depend on traversal order, and all inputs (graph, starts) are
 // deterministic upstream.
 //
 // Hot-path structure:
-//   * All distance evaluations go through the raw Metric::eval kernels with
-//     a per-query Metric::prepare context (Cosine hoists the query norm out
-//     of the inner loop); evaluations are counted locally and reported in
-//     one DistanceCounter::bump(n) per search.
+//   * Evaluations are counted locally and reported in one
+//     DistanceCounter::bump(n) per search.
 //   * Scratch state (the seen table, the beam, processed flags, the
-//     neighbor gather buffer) lives in a per-thread SearchScratch pool, so
-//     a steady-state query allocates nothing but its own result vectors.
-//     The pooled ApproxVisitedSet is epoch-cleared: resetting it between
-//     queries is O(1), not a table memset.
-//   * Neighbor expansion is two-phase: gather the unprocessed neighbor ids
-//     (issuing coordinate prefetches), then evaluate distances — by the
-//     time the kernel runs, the rows are on their way into cache.
+//     neighbor gather buffer, the matched list) lives in a per-thread
+//     SearchScratch pool, so a steady-state query allocates nothing but its
+//     own result vectors. The pooled ApproxVisitedSet is epoch-cleared:
+//     resetting it between queries is O(1), not a table memset.
+//   * Neighbor expansion is two-phase: gather the unseen neighbor ids
+//     (prefetching their rows through the oracle), then evaluate distances
+//     — by the time the kernel runs, the rows are on their way into cache.
 //   * A node is processed at most once, BY CONSTRUCTION: an exact
 //     processed-id set guards the expansion, so result.visited (the prune
 //     candidate pool during construction) never holds duplicates even when
-//     the approximate seen-table drops ids on collisions. Previously this
-//     invariant was only implied by the sorted beam's monotonicity; now it
-//     is enforced and tested.
+//     the approximate seen-table drops ids on collisions.
 //
-// The same routine serves queries and index construction (the insert path of
+// The same walk serves queries and index construction (the insert path of
 // the incremental algorithms uses the visited list as the prune candidate
 // pool), exactly as in ParlayANN where DiskANN/HCNNG/PyNNDescent share one
 // search implementation.
@@ -40,6 +50,7 @@
 #include <limits>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "distance.h"
@@ -137,50 +148,139 @@ inline void beam_prefetch_point(const T* row, std::size_t d) {
   if (d * sizeof(T) > 64) __builtin_prefetch(p + 64, 0, 3);
 }
 
+// Distance oracle over full-precision rows: the query prepared once
+// (Metric::prepare — e.g. Cosine hoists the query norm) and evaluated with
+// the raw, uncounted kernels.
+template <typename Metric, typename T>
+struct ExactOracle {
+  ExactOracle(const T* q, const PointSet<T>& pts)
+      : query(q),
+        points(&pts),
+        dims(pts.dims()),
+        prep(Metric::prepare(q, pts.dims())) {}
+
+  float eval(PointId id) const {
+    return Metric::eval(prep, query, (*points)[id], dims);
+  }
+  void prefetch(PointId id) const { beam_prefetch_point((*points)[id], dims); }
+
+  const T* query;
+  const PointSet<T>* points;
+  std::size_t dims;
+  decltype(Metric::prepare(std::declval<const T*>(), std::size_t{})) prep;
+};
+
 namespace internal {
 
-template <typename Metric, typename T, typename VisitedSet>
-SearchResult beam_search_impl(const T* query, const PointSet<T>& points,
-                              const Graph& g, std::span<const PointId> starts,
-                              const SearchParams& params, VisitedSet& seen,
-                              SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
+inline constexpr std::size_t kNotInserted = static_cast<std::size_t>(-1);
+
+// Insert nb into `list`, kept sorted by (dist, id) and capped at `cap`
+// entries. Returns the insert position, or kNotInserted if nb is already
+// present or does not beat a full list's worst entry. The position is taken
+// BEFORE the eviction: an iterator into the list does not survive
+// pop_back().
+inline std::size_t sorted_insert(std::vector<Neighbor>& list, std::size_t cap,
+                                 Neighbor nb) {
+  auto it = std::lower_bound(list.begin(), list.end(), nb);
+  if (it != list.end() && *it == nb) return kNotInserted;
+  const auto pos = static_cast<std::size_t>(it - list.begin());
+  if (list.size() >= cap) {
+    if (!(nb < list.back())) return kNotInserted;
+    list.pop_back();
+  }
+  list.insert(list.begin() + static_cast<std::ptrdiff_t>(pos), nb);
+  return pos;
+}
+
+// Admission policy "none": the beam is the result frontier.
+struct AdmitAll {
+  void offer(PointId, float) const {}
+  const std::vector<Neighbor>& frontier(
+      const std::vector<Neighbor>& beam) const {
+    return beam;
+  }
+};
+
+// Admission policy "matched list": the predicate gates ADMISSION, not
+// traversal. Every evaluated point still competes for the beam
+// (filtered-out points conduct the walk toward the filtered region —
+// dropping them would disconnect the graph under selective filters), but
+// only predicate-passing points enter `matched`, which becomes the result
+// frontier (sorted, at most `cap` entries). The predicate runs only for
+// points that could still place (list not full, or beating its worst) — a
+// deterministic gate, since it depends only on distances and the (dist, id)
+// total order.
+template <typename Pred>
+struct AdmitMatched {
+  const Pred& pred;
+  std::vector<Neighbor>& matched;
+  std::size_t cap;
+
+  void offer(PointId id, float dist) const {
+    const Neighbor nb{id, dist};
+    if (matched.size() >= cap && !(nb < matched.back())) return;
+    if (!pred(id)) return;
+    sorted_insert(matched, cap, nb);
+  }
+  const std::vector<Neighbor>& frontier(const std::vector<Neighbor>&) const {
+    return matched;
+  }
+};
+
+// The VisitedSet dispatch every search entry point shares: fn(seen) runs
+// with the pooled, epoch-cleared ApproxVisitedSet reset to `width`, or with
+// a fresh table of any other kind (ExactVisitedSet, the reference).
+template <typename VisitedSet, typename Fn>
+auto with_seen_table(SearchScratch& scratch, std::size_t width, Fn&& fn) {
+  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
+    scratch.seen.reset(width);
+    return fn(scratch.seen);
+  } else {
+    VisitedSet seen(width);
+    return fn(seen);
+  }
+}
+
+// The beam walk. Lt is the traversal beam's width; params.k sets the
+// (1+eps) pruning radius and params.visit_limit caps the expansions.
+// result.visited lists the processed points in processing order; the
+// result frontier comes from the admission policy.
+template <typename Oracle, typename Admission, typename VisitedSet>
+SearchResult beam_walk(const Oracle& oracle, const Graph& g,
+                       std::span<const PointId> starts,
+                       const SearchParams& params, std::size_t Lt,
+                       const Admission& admit, VisitedSet& seen,
+                       SearchScratch& scratch) {
   const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const std::size_t dims = points.dims();
   const float cut = 1.0f + params.epsilon;
-  const auto prep = Metric::prepare(query, dims);
 
   std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
+  std::vector<unsigned char>& processed = scratch.processed;  // parallel
   beam.clear();
-  beam.reserve(L + 1);
+  beam.reserve(Lt + 1);
   processed.clear();
-  processed.reserve(L + 1);
+  processed.reserve(Lt + 1);
   scratch.processed_ids.reset(
-      std::min<std::size_t>(params.visit_limit, 4 * L));
+      std::min<std::size_t>(params.visit_limit, 4 * Lt));
 
   SearchResult result;
-  result.visited.reserve(std::min(params.visit_limit, 4 * L));
+  result.visited.reserve(std::min(params.visit_limit, 4 * Lt));
   std::uint64_t evals = 0;
 
   auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= L) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
+    const std::size_t before = beam.size();
+    const std::size_t pos = sorted_insert(beam, Lt, {id, dist});
+    if (pos == kNotInserted) return;
+    if (beam.size() == before) processed.pop_back();  // evicted the worst
+    processed.insert(processed.begin() + static_cast<std::ptrdiff_t>(pos), 0);
   };
 
   for (PointId s : starts) {
     if (seen.test_and_set(s)) continue;
     ++evals;
-    insert_candidate(s, Metric::eval(prep, query, points[s], dims));
+    const float d = oracle.eval(s);
+    admit.offer(s, d);
+    insert_candidate(s, d);
   }
 
   while (result.visited.size() < params.visit_limit) {
@@ -190,171 +290,34 @@ SearchResult beam_search_impl(const T* query, const PointSet<T>& points,
     if (pi == beam.size()) break;
 
     processed[pi] = 1;
-    Neighbor current = beam[pi];
+    const Neighbor current = beam[pi];
     // Re-processing guard: the seen-table may drop an id on a collision, so
     // it alone cannot keep an already-expanded node from re-entering the
-    // beam; this exact set can. With the current sorted beam the re-entry
-    // path is additionally blocked by monotonicity (once full, the beam's
-    // worst only tightens below any evicted id's fixed distance), but the
-    // duplicate-free visited contract is enforced HERE, not assumed from
-    // beam policy — tests/test_query_hot_path.cpp asserts it under
-    // collision-heavy tables.
+    // beam; this exact set can. The duplicate-free visited contract is
+    // enforced HERE, not assumed from beam policy —
+    // tests/test_query_hot_path.cpp asserts it under collision-heavy tables.
     if (!scratch.processed_ids.insert(current.id)) continue;
     result.visited.push_back(current);
 
     // (1+eps) pruning radius: current k-th nearest seen (or worst if < k).
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;  // handles negative (MIPS)
-    float worst = beam.size() >= L
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
+    const float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
+    const float radius = dk < 0 ? dk / cut : dk * cut;  // negative: MIPS
+    float worst = beam.size() >= Lt ? beam.back().dist
+                                    : std::numeric_limits<float>::infinity();
 
-    // Phase 1: gather unseen neighbors, prefetching their coordinates.
+    // Phase 1: gather unseen neighbors, prefetching their rows.
     scratch.gather.clear();
     for (PointId nb_id : g.neighbors(current.id)) {
       if (seen.test_and_set(nb_id)) continue;
       scratch.gather.push_back(nb_id);
-      beam_prefetch_point(points[nb_id], dims);
+      oracle.prefetch(nb_id);
     }
     evals += scratch.gather.size();
 
-    // Phase 2: evaluate and queue.
+    // Phase 2: evaluate, offer for admission, and queue.
     for (PointId nb_id : scratch.gather) {
-      float d = Metric::eval(prep, query, points[nb_id], dims);
-      if (d > worst) continue;
-      if (params.epsilon > 0.0f && d > radius) continue;
-      insert_candidate(nb_id, d);
-      worst = beam.size() >= L ? beam.back().dist
-                               : std::numeric_limits<float>::infinity();
-    }
-  }
-
-  DistanceCounter::bump(evals);
-  result.frontier.assign(beam.begin(), beam.end());
-  return result;
-}
-
-// Filter-aware beam search. Structurally the same traversal as
-// beam_search_impl, with two changes:
-//
-//   * The predicate gates ADMISSION, not traversal. Every evaluated point
-//     still competes for the traversal beam (filtered-out points conduct the
-//     walk toward the filtered region — dropping them would disconnect the
-//     graph under selective filters), but only predicate-passing points
-//     enter the separate `matched` result list that becomes
-//     result.frontier.
-//   * The traversal beam is widened to Lt = ceil(L * filter_beam_factor):
-//     at selectivity s only ~s of traversal work lands on admissible points,
-//     so the frontier needs proportionally more slack to keep recall.
-//
-// The predicate is invoked only for candidates that could still improve the
-// matched list (list not full, or distance beats its current worst) — a
-// deterministic gate, since it depends only on distances and the (dist, id)
-// total order. Crucially the matched test happens BEFORE the traversal
-// beam's `worst`/epsilon cuts: a matching point too far to steer the walk
-// can still be a top-k result.
-//
-// result.frontier = matched (sorted, <= max(L, k) entries, all passing);
-// result.visited = full traversal list, same contract as unfiltered search.
-template <typename Metric, typename T, typename Pred, typename VisitedSet>
-SearchResult filtered_beam_search_impl(const T* query,
-                                       const PointSet<T>& points,
-                                       const Graph& g,
-                                       std::span<const PointId> starts,
-                                       const SearchParams& params,
-                                       const Pred& pred, VisitedSet& seen,
-                                       SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const float factor = std::max(params.filter_beam_factor, 1.0f);
-  const std::size_t Lt = std::max<std::size_t>(
-      L, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(L) * factor)));
-  const std::size_t match_cap = std::max(L, k);
-  const std::size_t dims = points.dims();
-  const float cut = 1.0f + params.epsilon;
-  const auto prep = Metric::prepare(query, dims);
-
-  std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
-  std::vector<Neighbor>& matched = scratch.matched;
-  beam.clear();
-  beam.reserve(Lt + 1);
-  processed.clear();
-  processed.reserve(Lt + 1);
-  matched.clear();
-  matched.reserve(match_cap + 1);
-  scratch.processed_ids.reset(
-      std::min<std::size_t>(params.visit_limit, 4 * Lt));
-
-  SearchResult result;
-  result.visited.reserve(std::min(params.visit_limit, 4 * Lt));
-  std::uint64_t evals = 0;
-
-  auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= Lt) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
-  };
-
-  // Admit `nb` to the matched list if the predicate passes. The bound check
-  // runs first so the (potentially costly) predicate is skipped for points
-  // that could not place anyway.
-  auto consider_match = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    if (matched.size() >= match_cap && !(nb < matched.back())) return;
-    if (!pred(id)) return;
-    auto it = std::lower_bound(matched.begin(), matched.end(), nb);
-    if (it != matched.end() && it->id == id && it->dist == dist) return;
-    if (matched.size() >= match_cap) matched.pop_back();
-    matched.insert(it, nb);
-  };
-
-  for (PointId s : starts) {
-    if (seen.test_and_set(s)) continue;
-    ++evals;
-    float d = Metric::eval(prep, query, points[s], dims);
-    consider_match(s, d);
-    insert_candidate(s, d);
-  }
-
-  while (result.visited.size() < params.visit_limit) {
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-
-    processed[pi] = 1;
-    Neighbor current = beam[pi];
-    if (!scratch.processed_ids.insert(current.id)) continue;
-    result.visited.push_back(current);
-
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;
-    float worst = beam.size() >= Lt
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
-
-    scratch.gather.clear();
-    for (PointId nb_id : g.neighbors(current.id)) {
-      if (seen.test_and_set(nb_id)) continue;
-      scratch.gather.push_back(nb_id);
-      beam_prefetch_point(points[nb_id], dims);
-    }
-    evals += scratch.gather.size();
-
-    for (PointId nb_id : scratch.gather) {
-      float d = Metric::eval(prep, query, points[nb_id], dims);
-      // Matched admission precedes the traversal cuts: a passing point
-      // outside the traversal radius is still a candidate result.
-      consider_match(nb_id, d);
+      const float d = oracle.eval(nb_id);
+      admit.offer(nb_id, d);
       if (d > worst) continue;
       if (params.epsilon > 0.0f && d > radius) continue;
       insert_candidate(nb_id, d);
@@ -364,135 +327,49 @@ SearchResult filtered_beam_search_impl(const T* query,
   }
 
   DistanceCounter::bump(evals);
-  result.frontier.assign(matched.begin(), matched.end());
+  const std::vector<Neighbor>& frontier = admit.frontier(beam);
+  result.frontier.assign(frontier.begin(), frontier.end());
   return result;
 }
 
-// Quantized beam search: the identical traversal as beam_search_impl,
-// except every distance is a compressed-domain evaluation through a
-// QuantView (qv.eval(id) — e.g. an ADC table-lookup sum over PQ codes, or
-// an int8 kernel; see src/quant/quantized_store.h). The full-precision rows
-// are never touched, which is what lets the raw coordinates live out of RAM
-// (mmap'd or evicted). Deterministic for the same reasons as the
-// full-precision walk: qv.eval is a pure function of (prepared query, id),
-// accumulated in a fixed order, and the beam keeps the (dist, id) total
-// order.
-//
-// Counting: each qv.eval counts as one distance evaluation, reported in a
-// single batched bump, matching beam_search_impl (table construction is
-// counted separately by the store's bind()).
-template <typename QuantView, typename VisitedSet>
-SearchResult quantized_beam_search_impl(const QuantView& qv, const Graph& g,
-                                        std::span<const PointId> starts,
-                                        const SearchParams& params,
-                                        VisitedSet& seen,
-                                        SearchScratch& scratch) {
+// Unfiltered walk of width beam_width (exact and quantized search).
+template <typename VisitedSet, typename Oracle>
+SearchResult unfiltered_walk(const Oracle& oracle, const Graph& g,
+                             std::span<const PointId> starts,
+                             const SearchParams& params,
+                             SearchScratch& scratch) {
   const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  const std::size_t k = std::max<std::size_t>(params.k, 1);
-  const float cut = 1.0f + params.epsilon;
-
-  std::vector<Neighbor>& beam = scratch.beam;
-  std::vector<unsigned char>& processed = scratch.processed;
-  beam.clear();
-  beam.reserve(L + 1);
-  processed.clear();
-  processed.reserve(L + 1);
-  scratch.processed_ids.reset(
-      std::min<std::size_t>(params.visit_limit, 4 * L));
-
-  SearchResult result;
-  result.visited.reserve(std::min(params.visit_limit, 4 * L));
-  std::uint64_t evals = 0;
-
-  auto insert_candidate = [&](PointId id, float dist) {
-    Neighbor nb{id, dist};
-    auto it = std::lower_bound(beam.begin(), beam.end(), nb);
-    if (it != beam.end() && it->id == id && it->dist == dist) return;
-    if (beam.size() >= L) {
-      if (!(nb < beam.back())) return;
-      beam.pop_back();
-      processed.pop_back();
-    }
-    std::size_t pos = static_cast<std::size_t>(it - beam.begin());
-    beam.insert(beam.begin() + pos, nb);
-    processed.insert(processed.begin() + pos, 0);
-  };
-
-  for (PointId s : starts) {
-    if (seen.test_and_set(s)) continue;
-    ++evals;
-    insert_candidate(s, qv.eval(s));
-  }
-
-  while (result.visited.size() < params.visit_limit) {
-    std::size_t pi = 0;
-    while (pi < beam.size() && processed[pi]) ++pi;
-    if (pi == beam.size()) break;
-
-    processed[pi] = 1;
-    Neighbor current = beam[pi];
-    if (!scratch.processed_ids.insert(current.id)) continue;
-    result.visited.push_back(current);
-
-    float dk = beam.size() >= k ? beam[k - 1].dist : beam.back().dist;
-    float radius = dk < 0 ? dk / cut : dk * cut;
-    float worst = beam.size() >= L
-                      ? beam.back().dist
-                      : std::numeric_limits<float>::infinity();
-
-    // Phase 1: gather unseen neighbors, prefetching their CODE rows (a few
-    // bytes each — one line usually covers several points).
-    scratch.gather.clear();
-    for (PointId nb_id : g.neighbors(current.id)) {
-      if (seen.test_and_set(nb_id)) continue;
-      scratch.gather.push_back(nb_id);
-      qv.prefetch(nb_id);
-    }
-    evals += scratch.gather.size();
-
-    for (PointId nb_id : scratch.gather) {
-      float d = qv.eval(nb_id);
-      if (d > worst) continue;
-      if (params.epsilon > 0.0f && d > radius) continue;
-      insert_candidate(nb_id, d);
-      worst = beam.size() >= L ? beam.back().dist
-                               : std::numeric_limits<float>::infinity();
-    }
-  }
-
-  DistanceCounter::bump(evals);
-  result.frontier.assign(beam.begin(), beam.end());
-  return result;
+  return with_seen_table<VisitedSet>(scratch, L, [&](auto& seen) {
+    return beam_walk(oracle, g, starts, params, L, AdmitAll{}, seen, scratch);
+  });
 }
 
 }  // namespace internal
 
 // Quantized beam search over a bound QuantView (see
 // src/quant/quantized_store.h: store.bind(query, scratch) produces the
-// view). Same VisitedSet dispatch as beam_search. Rerank is layered on top
-// by the caller (ann::exact_rerank) — this routine never reads coordinates.
+// view; each qv.eval counts as one distance evaluation, table construction
+// is counted by bind()). Same VisitedSet dispatch as beam_search. Rerank is
+// layered on top by the caller (ann::exact_rerank) — this routine never
+// reads coordinates, which is what lets the full-precision rows live out
+// of RAM.
 template <typename QuantView, typename VisitedSet = ApproxVisitedSet>
 SearchResult quantized_beam_search(const QuantView& qv, const Graph& g,
                                    std::span<const PointId> starts,
                                    const SearchParams& params,
                                    SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(L);
-    return internal::quantized_beam_search_impl(qv, g, starts, params,
-                                                scratch.seen, scratch);
-  } else {
-    VisitedSet seen(L);
-    return internal::quantized_beam_search_impl(qv, g, starts, params, seen,
-                                                scratch);
-  }
+  return internal::unfiltered_walk<VisitedSet>(qv, g, starts, params,
+                                               scratch);
 }
 
 // Filter-aware beam search: like beam_search, but only points for which
-// pred(id) is true enter the result frontier. Filtered-out points still
-// conduct the traversal. params.filter_beam_factor widens the traversal
-// beam (<= 1 means no widening at this layer; AnyIndex resolves AUTO before
-// calling down here).
+// pred(id) is true enter the result frontier (at most max(beam_width, k)
+// entries). Filtered-out points still conduct the traversal.
+// params.filter_beam_factor widens the traversal beam to
+// Lt = ceil(beam_width * factor) — at selectivity s only ~s of the
+// traversal work lands on admissible points, so the beam needs
+// proportionally more slack (<= 1 means no widening at this layer;
+// AnyIndex resolves AUTO before calling down here).
 template <typename Metric, typename T, typename Pred,
           typename VisitedSet = ApproxVisitedSet>
 SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
@@ -504,15 +381,15 @@ SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,
   const float factor = std::max(params.filter_beam_factor, 1.0f);
   const std::size_t Lt = std::max<std::size_t>(
       L, static_cast<std::size_t>(std::ceil(static_cast<double>(L) * factor)));
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(Lt);
-    return internal::filtered_beam_search_impl<Metric>(
-        query, points, g, starts, params, pred, scratch.seen, scratch);
-  } else {
-    VisitedSet seen(Lt);
-    return internal::filtered_beam_search_impl<Metric>(
-        query, points, g, starts, params, pred, seen, scratch);
-  }
+  const std::size_t cap = std::max<std::size_t>(L, params.k);
+  scratch.matched.clear();
+  scratch.matched.reserve(cap + 1);
+  const internal::AdmitMatched<Pred> admit{pred, scratch.matched, cap};
+  const ExactOracle<Metric, T> oracle(query, points);
+  return internal::with_seen_table<VisitedSet>(scratch, Lt, [&](auto& seen) {
+    return internal::beam_walk(oracle, g, starts, params, Lt, admit, seen,
+                               scratch);
+  });
 }
 
 // Convenience overload on the per-thread scratch pool.
@@ -535,16 +412,8 @@ template <typename Metric, typename T, typename VisitedSet = ApproxVisitedSet>
 SearchResult beam_search(const T* query, const PointSet<T>& points,
                          const Graph& g, std::span<const PointId> starts,
                          const SearchParams& params, SearchScratch& scratch) {
-  const std::size_t L = std::max<std::size_t>(params.beam_width, 1);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(L);
-    return internal::beam_search_impl<Metric>(query, points, g, starts, params,
-                                              scratch.seen, scratch);
-  } else {
-    VisitedSet seen(L);
-    return internal::beam_search_impl<Metric>(query, points, g, starts, params,
-                                              seen, scratch);
-  }
+  return internal::unfiltered_walk<VisitedSet>(
+      ExactOracle<Metric, T>(query, points), g, starts, params, scratch);
 }
 
 // Convenience overload on the per-thread scratch pool.

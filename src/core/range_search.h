@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <type_traits>
 #include <vector>
 
 #include "beam_search.h"
@@ -120,15 +119,11 @@ RangeResult range_search(const T* query, const PointSet<T>& points,
   // can reset and reuse it (the two phases intentionally do NOT share seen
   // state: frontier/visited entries re-seed the flood).
   const std::size_t flood_beam = std::max<std::size_t>(params.beam_width, 64);
-  if constexpr (std::is_same_v<VisitedSet, ApproxVisitedSet>) {
-    scratch.seen.reset(flood_beam);
-    return internal::range_search_impl<Metric>(query, points, g, beam, params,
-                                               scratch.seen, scratch);
-  } else {
-    VisitedSet seen(flood_beam);
-    return internal::range_search_impl<Metric>(query, points, g, beam, params,
-                                               seen, scratch);
-  }
+  return internal::with_seen_table<VisitedSet>(
+      scratch, flood_beam, [&](auto& seen) {
+        return internal::range_search_impl<Metric>(query, points, g, beam,
+                                                   params, seen, scratch);
+      });
 }
 
 // Exact range ground truth by brute force (per query, deterministic order).

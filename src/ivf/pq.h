@@ -133,14 +133,6 @@ class ProductQuantizer {
     return quant::adc_sum(table.data(), max_codes(), codes + i * m_, m_);
   }
 
-  // Approximate distance of the i-th encoded vector via the ADC table,
-  // counted as one compressed-domain comparison.
-  float adc_distance(const std::vector<float>& table,
-                     const std::uint8_t* codes, std::size_t i) const {
-    DistanceCounter::bump();
-    return adc_eval(table, codes, i);
-  }
-
   // Exact reconstruction distance (decode-and-compare); used in tests.
   std::vector<float> decode(const std::uint8_t* codes, std::size_t i) const {
     std::vector<float> out(d_, 0.0f);

@@ -62,8 +62,8 @@ struct QuantPrepared {
 template <typename Metric, typename T>
 class QuantizedStore;
 
-// The view the quantized beam search traverses with: eval(id) is the
-// compressed-domain distance of the prepared query to point id.
+// The beam walk's distance oracle over codes (core/beam_search.h): eval(id)
+// is the compressed-domain distance of the prepared query to point id.
 template <typename Metric, typename T>
 struct QuantizedQuery {
   const QuantizedStore<Metric, T>* store = nullptr;

@@ -105,7 +105,10 @@ TEST(HNSW, DescendReachesBottom) {
   HNSWParams prm{.m = 8, .ef_construction = 48};
   auto index = ann::build_hnsw<EuclideanSquared>(ds.base, prm);
   for (std::size_t q = 0; q < ds.queries.size(); ++q) {
-    PointId p = index.descend_to(ds.queries[static_cast<PointId>(q)], ds.base, 0);
+    PointId p = index.descend_to(
+        ann::ExactOracle<EuclideanSquared, std::uint8_t>(
+            ds.queries[static_cast<PointId>(q)], ds.base),
+        0);
     EXPECT_LT(p, ds.base.size());
   }
 }

@@ -59,7 +59,7 @@ TEST(PQ, AdcMatchesDecodedDistance) {
   for (std::size_t q = 0; q < 10; ++q) {
     auto table = pq.adc_table(ds.queries[static_cast<PointId>(q)]);
     for (std::size_t i = 0; i < 20; ++i) {
-      float adc = pq.adc_distance(table, codes.data(), i);
+      float adc = pq.adc_eval(table, codes.data(), i);
       auto rec = pq.decode(codes.data(), i);
       float exact = 0;
       for (std::size_t j = 0; j < 128; ++j) {

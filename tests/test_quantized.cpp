@@ -197,6 +197,10 @@ TEST(QuantizedSearch, RerankRecoversRecall) {
   auto quant = index.quantized_batch_search(queries, reranked);
   const double quant_recall = ann::average_recall(quant, gt, 10);
   EXPECT_GE(quant_recall, full_recall - 0.02);
+  // Rerank never loses recall against the bare compressed-domain answer.
+  const double adc_recall = ann::average_recall(
+      index.quantized_batch_search(queries, kEffort), gt, 10);
+  EXPECT_GE(quant_recall, adc_recall);
 
   // Result-shape contract: k results, sorted by (dist, id).
   for (const auto& row : quant) {
