@@ -70,7 +70,11 @@ struct QuantizedQuery {
   QuantPrepared prep;
 
   float eval(PointId id) const { return store->eval(prep, id); }
-  void prefetch(PointId id) const { store->prefetch(id); }
+  // Forced inline, like QuantizedStore::prefetch: GCC deletes calls to a
+  // function whose only effect is a prefetch (see ExactOracle::prefetch).
+  [[gnu::always_inline]] void prefetch(PointId id) const {
+    store->prefetch(id);
+  }
 };
 
 template <typename Metric, typename T>
@@ -160,7 +164,7 @@ class QuantizedStore {
     }
   }
 
-  void prefetch(PointId id) const {
+  [[gnu::always_inline]] void prefetch(PointId id) const {
     const char* p =
         kind_ == QuantKind::kPQ
             ? reinterpret_cast<const char*>(
