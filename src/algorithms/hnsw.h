@@ -47,9 +47,8 @@ struct HNSWIndex {
   PointId entry = kInvalidPoint;
   std::uint32_t entry_level = 0;
 
-  // Greedy descent from the entry through layers (top..target+1] with beam
-  // 1. The oracle measures the distances: ExactOracle over the coordinates,
-  // or a quantized view, so a codes-only index never reads a row.
+  // Greedy beam-1 descent from the entry through layers (top..target+1],
+  // measured by `oracle`: ExactOracle, or a quantized view (no row reads).
   template <typename Oracle>
   PointId descend_to(const Oracle& oracle, std::uint32_t target_layer,
                      SearchScratch& scratch = local_search_scratch()) const {

@@ -587,8 +587,7 @@ class HNSWBackend final : public TypedBackend<T> {
     tier_.require_attached();
     SearchScratch& scratch = local_search_scratch();
     auto qv = tier_.store().bind(query, scratch);
-    // The hierarchy descent runs in the compressed domain too (beam-1 ADC
-    // per upper layer), so an evicted backend never needs coordinate rows.
+    // The descent runs on codes too: an evicted backend has no rows.
     std::vector<PointId> starts{index_.descend_to(qv, 0, scratch)};
     auto res = quantized_beam_search(qv, index_.layers[0], starts, params,
                                      scratch);

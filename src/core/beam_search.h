@@ -12,9 +12,8 @@
 //     QuantizedQuery (quant/quantized_store.h) evaluates compressed codes.
 //   * an admission policy: AdmitAll makes the beam itself the result
 //     frontier; AdmitMatched keeps a separate predicate-gated result list
-//     (filtered search). Every evaluated point is offered to the policy
-//     BEFORE the beam's worst/epsilon cuts, so a matching point too far to
-//     steer the walk can still be a result.
+//     (filtered search), offered every evaluated point BEFORE the beam's
+//     worst/epsilon cuts.
 // The traversal width Lt is passed in: beam_width everywhere except the
 // filtered wrapper, which widens it by filter_beam_factor.
 //
@@ -140,9 +139,12 @@ inline SearchScratch& local_search_scratch() {
 
 // Prefetch the first cache lines of a coordinate row. Shared with the
 // construction hot path (core/prune.h gathers candidate rows the same way
-// the beam loop gathers neighbor rows).
+// the beam loop gathers neighbor rows). Forced inline: GCC deduces that a
+// function whose only effect is a prefetch is pure and deletes calls to it,
+// so behind a call (e.g. an oracle's prefetch) the rows went unprefetched.
 template <typename T>
-inline void beam_prefetch_point(const T* row, std::size_t d) {
+[[gnu::always_inline]] inline void beam_prefetch_point(const T* row,
+                                                       std::size_t d) {
   const char* p = reinterpret_cast<const char*>(row);
   __builtin_prefetch(p, 0, 3);
   if (d * sizeof(T) > 64) __builtin_prefetch(p + 64, 0, 3);
@@ -162,13 +164,9 @@ struct ExactOracle {
   float eval(PointId id) const {
     return Metric::eval(prep, query, (*points)[id], dims);
   }
-  // GCC deduces that a function whose only effect is a prefetch is pure and
-  // deletes calls to it, so the prefetch is written out here and forced
-  // inline into the walk; through a call the rows were never prefetched.
+  // Forced inline for the reason given at beam_prefetch_point.
   [[gnu::always_inline]] void prefetch(PointId id) const {
-    const char* p = reinterpret_cast<const char*>((*points)[id]);
-    __builtin_prefetch(p, 0, 3);
-    if (dims * sizeof(T) > 64) __builtin_prefetch(p + 64, 0, 3);
+    beam_prefetch_point((*points)[id], dims);
   }
 
   const T* query;
@@ -184,8 +182,7 @@ inline constexpr std::size_t kNotInserted = static_cast<std::size_t>(-1);
 // Insert nb into `list`, kept sorted by (dist, id) and capped at `cap`
 // entries. Returns the insert position, or kNotInserted if nb is already
 // present or does not beat a full list's worst entry. The position is taken
-// BEFORE the eviction: an iterator into the list does not survive
-// pop_back().
+// BEFORE the eviction, as pop_back() invalidates iterators into the list.
 inline std::size_t sorted_insert(std::vector<Neighbor>& list, std::size_t cap,
                                  Neighbor nb) {
   auto it = std::lower_bound(list.begin(), list.end(), nb);
@@ -212,11 +209,11 @@ struct AdmitAll {
 // traversal. Every evaluated point still competes for the beam
 // (filtered-out points conduct the walk toward the filtered region —
 // dropping them would disconnect the graph under selective filters), but
-// only predicate-passing points enter `matched`, which becomes the result
-// frontier (sorted, at most `cap` entries). The predicate runs only for
-// points that could still place (list not full, or beating its worst) — a
-// deterministic gate, since it depends only on distances and the (dist, id)
-// total order.
+// only predicate-passing points enter `matched`, the result frontier
+// (sorted, at most `cap` entries). Offered before the beam's cuts, so a
+// matching point too far to steer the walk can still be a result. The
+// predicate runs only for points that could still place — a deterministic
+// gate, since it depends only on distances and the (dist, id) order.
 template <typename Pred>
 struct AdmitMatched {
   const Pred& pred;
@@ -353,13 +350,11 @@ SearchResult unfiltered_walk(const Oracle& oracle, const Graph& g,
 
 }  // namespace internal
 
-// Quantized beam search over a bound QuantView (see
-// src/quant/quantized_store.h: store.bind(query, scratch) produces the
-// view; each qv.eval counts as one distance evaluation, table construction
-// is counted by bind()). Same VisitedSet dispatch as beam_search. Rerank is
-// layered on top by the caller (ann::exact_rerank) — this routine never
-// reads coordinates, which is what lets the full-precision rows live out
-// of RAM.
+// Quantized beam search over a bound QuantView, the walk's oracle over
+// codes (store.bind(query, scratch) in src/quant/quantized_store.h; bind()
+// counts the table construction). Rerank is layered on top by the caller
+// (ann::exact_rerank) — this routine never reads coordinates, which is what
+// lets the full-precision rows live out of RAM.
 template <typename QuantView, typename VisitedSet = ApproxVisitedSet>
 SearchResult quantized_beam_search(const QuantView& qv, const Graph& g,
                                    std::span<const PointId> starts,
@@ -371,12 +366,9 @@ SearchResult quantized_beam_search(const QuantView& qv, const Graph& g,
 
 // Filter-aware beam search: like beam_search, but only points for which
 // pred(id) is true enter the result frontier (at most max(beam_width, k)
-// entries). Filtered-out points still conduct the traversal.
-// params.filter_beam_factor widens the traversal beam to
-// Lt = ceil(beam_width * factor) — at selectivity s only ~s of the
-// traversal work lands on admissible points, so the beam needs
-// proportionally more slack (<= 1 means no widening at this layer;
-// AnyIndex resolves AUTO before calling down here).
+// entries); filtered-out points still conduct the traversal, whose beam
+// params.filter_beam_factor widens (see SearchParams; <= 1 means no
+// widening here — AnyIndex resolves AUTO before calling down).
 template <typename Metric, typename T, typename Pred,
           typename VisitedSet = ApproxVisitedSet>
 SearchResult filtered_beam_search(const T* query, const PointSet<T>& points,

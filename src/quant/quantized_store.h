@@ -70,8 +70,7 @@ struct QuantizedQuery {
   QuantPrepared prep;
 
   float eval(PointId id) const { return store->eval(prep, id); }
-  // Forced inline, like QuantizedStore::prefetch: GCC deletes calls to a
-  // function whose only effect is a prefetch (see ExactOracle::prefetch).
+  // Forced inline for the reason given at beam_prefetch_point.
   [[gnu::always_inline]] void prefetch(PointId id) const {
     store->prefetch(id);
   }
@@ -164,6 +163,7 @@ class QuantizedStore {
     }
   }
 
+  // Forced inline for the reason given at beam_prefetch_point.
   [[gnu::always_inline]] void prefetch(PointId id) const {
     const char* p =
         kind_ == QuantKind::kPQ
