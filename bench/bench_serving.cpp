@@ -6,6 +6,11 @@
 //     identical to a direct batch_search with the same parameters.
 //   section 2 — closed-loop sweep: C client threads submit-and-wait;
 //     QPS + p50/p95/p99 latency + mean batch occupancy vs max_batch.
+//     Batching gate (enforced at scale >= 1, report-only below): QPS at
+//     max_batch=8 must reach 0.9x the QPS at max_batch=1. Batching may buy
+//     little on a small machine, but it must never cost throughput: a
+//     dispatcher that holds an idle executor back to fill a batch fails
+//     this gate several times over.
 //   section 3 — open-loop sweep: one generator paces submissions at a
 //     target arrival rate (fractions of the directly measured engine
 //     throughput) under kReject backpressure; latency and shed load vs
@@ -120,7 +125,7 @@ int main(int argc, char** argv) {
   std::size_t mismatches = 0;
   {
     SearchService<std::uint8_t> service(
-        build_index(ds), {.max_batch = 8, .max_delay_ms = 1.0});
+        build_index(ds), {.max_batch = 8});
     std::vector<std::future<std::vector<Neighbor>>> futures;
     futures.reserve(nq);
     for (std::size_t i = 0; i < nq; ++i) {
@@ -133,7 +138,10 @@ int main(int argc, char** argv) {
   std::printf("element-wise mismatches vs direct batch_search: %zu %s\n",
               mismatches, mismatches == 0 ? "(PASS)" : "(FAIL)");
 
+  // The batching gate reads the first two closed-loop rows: 1 and 8.
   const std::vector<std::size_t> batch_sizes = {1, 8, 32, 64};
+  constexpr double kMinBatchedRatio = 0.9;
+  double batched_ratio = 0;  // closed-loop QPS, max_batch=8 over max_batch=1
 
   // --- section 2: closed-loop sweep ------------------------------------------
   // C clients submit-and-wait: arrival adapts to service throughput, so
@@ -145,8 +153,7 @@ int main(int argc, char** argv) {
     for (std::size_t max_batch : batch_sizes) {
       SearchService<std::uint8_t> service(
           build_index(ds),
-          {.max_batch = max_batch, .max_delay_ms = 1.0,
-           .queue_capacity = 4096});
+          {.max_batch = max_batch, .queue_capacity = 4096});
       double elapsed = bench::time_s([&] {
         std::vector<std::thread> clients;
         for (unsigned c = 0; c < kClients; ++c) {
@@ -168,6 +175,11 @@ int main(int argc, char** argv) {
                   "2. closed-loop: %u clients x %zu requests", kClients,
                   per_client);
     print_rows(title, rows, /*open_loop=*/false);
+    batched_ratio = rows[0].qps > 0 ? rows[1].qps / rows[0].qps : 0;
+    std::printf("batching gate: max_batch=8 / max_batch=1 QPS = %.2f "
+                "(need >= %.2f%s)\n",
+                batched_ratio, kMinBatchedRatio,
+                scale >= 1.0 ? "" : ", report-only below scale 1");
   }
 
   // --- section 3: open-loop sweep --------------------------------------------
@@ -183,8 +195,7 @@ int main(int argc, char** argv) {
       for (std::size_t max_batch : {std::size_t{8}, std::size_t{64}}) {
         SearchService<std::uint8_t> service(
             build_index(ds),
-            {.max_batch = max_batch, .max_delay_ms = 1.0,
-             .queue_capacity = 1024,
+            {.max_batch = max_batch, .queue_capacity = 1024,
              .backpressure = BackpressurePolicy::kReject});
         std::vector<std::future<std::vector<Neighbor>>> futures;
         futures.reserve(total);
@@ -217,6 +228,11 @@ int main(int argc, char** argv) {
 
   if (mismatches != 0) {
     std::printf("\nFAIL: service results diverged from direct batch_search\n");
+    return 1;
+  }
+  if (scale >= 1.0 && batched_ratio < kMinBatchedRatio) {
+    std::printf("\nFAIL: closed-loop max_batch=8 QPS is %.2fx max_batch=1\n",
+                batched_ratio);
     return 1;
   }
   std::printf("\nall serving gates passed\n");

@@ -24,11 +24,12 @@ int main() {
   AnyIndex index = make_index(spec);
   index.build(ds.base);
 
-  // 2. Wrap it in a service: coalesce up to 32 requests, never hold one
-  //    longer than 1 ms, bound the queue, block producers when full.
+  // 2. Wrap it in a service: requests that queue up while a batch runs
+  //    go out together, up to 32 at a time; bound the queue, block
+  //    producers when full.
   SearchService<std::uint8_t> service(
       std::move(index),
-      {.max_batch = 32, .max_delay_ms = 1.0, .queue_capacity = 1024,
+      {.max_batch = 32, .queue_capacity = 1024,
        .backpressure = BackpressurePolicy::kBlock});
 
   // 3. Closed-loop clients: submit, wait, repeat. Each request can carry

@@ -344,7 +344,7 @@ class FlatGraphBackend final : public TypedBackend<T> {
   IndexStats stats() const override {
     IndexStats s;
     s.num_points = num_points();
-    s.dims = tier_.evicted() ? tier_.store().dims() : points_.dims();
+    s.dims = dims();
     s.memory_bytes = points_.memory_bytes() + index_.graph.memory_bytes() +
                      tier_.memory_bytes();
     s.details = {
@@ -358,6 +358,10 @@ class FlatGraphBackend final : public TypedBackend<T> {
   std::size_t num_points() const override {
     // Budget mode drops the rows; the graph still spans every point.
     return tier_.evicted() ? index_.graph.size() : points_.size();
+  }
+
+  std::size_t dims() const override {
+    return tier_.evicted() ? tier_.store().dims() : points_.dims();
   }
 
  private:
@@ -482,7 +486,7 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
     IndexStats s;
     if (index_ == nullptr) return s;
     s.num_points = index_->size();
-    s.dims = index_->points().dims();
+    s.dims = dims();
     s.memory_bytes = index_->points().memory_bytes() +
                      index_->graph().memory_bytes() +
                      index_->deleted_flags().capacity();
@@ -497,6 +501,10 @@ class DynamicDiskANNBackend final : public TypedBackend<T>,
 
   std::size_t num_points() const override {
     return index_ == nullptr ? 0 : index_->size();
+  }
+
+  std::size_t dims() const override {
+    return index_ == nullptr ? 0 : index_->points().dims();
   }
 
  private:
@@ -624,7 +632,7 @@ class HNSWBackend final : public TypedBackend<T> {
   IndexStats stats() const override {
     IndexStats s;
     s.num_points = num_points();
-    s.dims = tier_.evicted() ? tier_.store().dims() : points_.dims();
+    s.dims = dims();
     s.memory_bytes =
         points_.memory_bytes() + tier_.memory_bytes() +
         index_.levels.capacity() * sizeof(std::uint32_t);
@@ -641,6 +649,10 @@ class HNSWBackend final : public TypedBackend<T> {
   std::size_t num_points() const override {
     return tier_.evicted() && !index_.layers.empty() ? index_.layers[0].size()
                                                      : points_.size();
+  }
+
+  std::size_t dims() const override {
+    return tier_.evicted() ? tier_.store().dims() : points_.dims();
   }
 
  private:
@@ -687,13 +699,14 @@ class IVFFlatBackend final : public TypedBackend<T> {
   IndexStats stats() const override {
     IndexStats s;
     s.num_points = points_.size();
-    s.dims = points_.dims();
+    s.dims = dims();
     s.memory_bytes = points_.memory_bytes() + index_.memory_bytes();
     s.details = {{"num_lists", static_cast<double>(index_.num_lists())}};
     return s;
   }
 
   std::size_t num_points() const override { return points_.size(); }
+  std::size_t dims() const override { return points_.dims(); }
 
  private:
   IVFParams params_;
@@ -738,7 +751,7 @@ class IVFPQBackend final : public TypedBackend<T> {
   IndexStats stats() const override {
     IndexStats s;
     s.num_points = points_.size();
-    s.dims = points_.dims();
+    s.dims = dims();
     s.memory_bytes = points_.memory_bytes() + index_.memory_bytes();
     s.details = {
         {"num_subspaces", static_cast<double>(index_.quantizer().num_subspaces())},
@@ -747,6 +760,7 @@ class IVFPQBackend final : public TypedBackend<T> {
   }
 
   std::size_t num_points() const override { return points_.size(); }
+  std::size_t dims() const override { return points_.dims(); }
 
  private:
   IVFPQParams params_;
@@ -792,7 +806,7 @@ class LSHBackend final : public TypedBackend<T> {
   IndexStats stats() const override {
     IndexStats s;
     s.num_points = points_.size();
-    s.dims = points_.dims();
+    s.dims = dims();
     s.memory_bytes = points_.memory_bytes() + index_.memory_bytes();
     s.details = {{"num_tables", static_cast<double>(index_.num_tables())},
                  {"num_bits", static_cast<double>(params_.num_bits)}};
@@ -800,6 +814,7 @@ class LSHBackend final : public TypedBackend<T> {
   }
 
   std::size_t num_points() const override { return points_.size(); }
+  std::size_t dims() const override { return points_.dims(); }
 
  private:
   LSHParams params_;

@@ -43,12 +43,14 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -104,6 +106,8 @@ class BackendBase {
   virtual void load_payload(std::FILE* f, const std::string& path) = 0;
   virtual IndexStats stats() const = 0;
   virtual std::size_t num_points() const = 0;
+  // 0 until the backend holds (or has loaded) points.
+  virtual std::size_t dims() const = 0;
 
   // True when filtered_search runs the predicate inside the traversal
   // (graph backends); false means the post-filter fallback serves it.
@@ -225,6 +229,35 @@ class MutableTypedBackend : public MutableBackendBase {
   virtual PointId insert(const PointSet<T>& points) = 0;
 };
 
+namespace internal {
+// The input-domain check behind every float entry point: a NaN or infinite
+// coordinate throws invalid_input naming the caller (`where`) and the row.
+// Integer dtypes cannot hold such values, so the scan compiles away for them.
+template <typename T>
+void require_finite(std::span<const T> row, const char* where,
+                    std::size_t row_id = 0) {
+  if constexpr (std::is_floating_point_v<T>) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
+      if (!std::isfinite(row[j])) {
+        throw invalid_input(std::string(where) + ": row " +
+                            std::to_string(row_id) + " coordinate " +
+                            std::to_string(j) + " is " +
+                            (std::isnan(row[j]) ? "NaN" : "infinite"));
+      }
+    }
+  }
+}
+
+template <typename T>
+void require_finite(const PointSet<T>& points, const char* where) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    require_finite(
+        std::span<const T>(points[static_cast<PointId>(i)], points.dims()),
+        where, i);
+  }
+}
+}  // namespace internal
+
 class AnyIndex {
  public:
   AnyIndex() = default;
@@ -255,18 +288,23 @@ class AnyIndex {
   // transfer ownership without copying the dataset.
   template <typename T>
   void build(const PointSet<T>& points) {
-    typed<T>("build").build(points);
+    TypedBackend<T>& backend = typed<T>("build");
+    internal::require_finite(points, "AnyIndex::build");
+    backend.build(points);
   }
 
   template <typename T>
   void build(PointSet<T>&& points) {
-    typed<T>("build").build(std::move(points));
+    TypedBackend<T>& backend = typed<T>("build");
+    internal::require_finite(points, "AnyIndex::build");
+    backend.build(std::move(points));
   }
 
   template <typename T>
   std::vector<Neighbor> search(const T* query,
                                const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("search");
+    require_finite_query(query, backend, "AnyIndex::search");
     // k contract + unbuilt-index handling: backends past this point see a
     // non-empty structure and 1 <= k <= num_points.
     auto p = clamp_k(params, backend.num_points());
@@ -284,6 +322,7 @@ class AnyIndex {
   std::vector<std::vector<Neighbor>> batch_search(
       const PointSet<T>& queries, const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("batch_search");
+    internal::require_finite(queries, "AnyIndex::batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -305,6 +344,7 @@ class AnyIndex {
   std::vector<Neighbor> range_search(const T* query,
                                      const RangeSearchParams& params) const {
     const TypedBackend<T>& backend = typed<T>("range_search");
+    require_finite_query(query, backend, "AnyIndex::range_search");
     if (backend.num_points() == 0) return {};
     return backend.range_search(query, params);
   }
@@ -355,6 +395,7 @@ class AnyIndex {
                                         const FilterSpec& filter,
                                         const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_search");
+    require_finite_query(query, backend, "AnyIndex::filtered_search");
     auto p = clamp_k(params, backend.num_points());
     if (!p) return {};
     if (!filter.active()) return backend.search(query, *p);
@@ -372,6 +413,7 @@ class AnyIndex {
       const PointSet<T>& queries, const FilterSpec& filter,
       const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
+    internal::require_finite(queries, "AnyIndex::filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -403,6 +445,7 @@ class AnyIndex {
           " queries but " + std::to_string(filters.size()) + " filters");
     }
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
+    internal::require_finite(queries, "AnyIndex::filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -463,6 +506,7 @@ class AnyIndex {
   std::vector<Neighbor> quantized_search(const T* query,
                                          const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("quantized_search");
+    require_finite_query(query, backend, "AnyIndex::quantized_search");
     auto p = clamp_k(params, backend.num_points());
     if (!p) return {};
     return backend.quantized_search(query, *p);
@@ -474,6 +518,7 @@ class AnyIndex {
   std::vector<std::vector<Neighbor>> quantized_batch_search(
       const PointSet<T>& queries, const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("quantized_batch_search");
+    internal::require_finite(queries, "AnyIndex::quantized_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -504,6 +549,7 @@ class AnyIndex {
           std::string("AnyIndex::insert: index holds dtype '") + spec_.dtype +
           "' but was called with '" + dtype_name<T>() + "'");
     }
+    internal::require_finite(points, "AnyIndex::insert");
     return backend->insert(points);
   }
 
@@ -542,6 +588,17 @@ class AnyIndex {
     p.k = static_cast<std::uint32_t>(
         std::min<std::size_t>(p.k, num_points));
     return p;
+  }
+
+  // A single query is a bare pointer: its length is the served dims.
+  template <typename T>
+  static void require_finite_query(const T* query,
+                                   const TypedBackend<T>& backend,
+                                   const char* where) {
+    if constexpr (std::is_floating_point_v<T>) {
+      internal::require_finite(std::span<const T>(query, backend.dims()),
+                               where);
+    }
   }
 
   static void resolve_filter_factor(QueryParams& params,

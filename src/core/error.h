@@ -31,6 +31,10 @@
 //   queue_full             SearchService admission under kReject while the
 //                          submission queue is at capacity; retry with
 //                          backoff or shed the load.
+//   invalid_input          a coordinate passed to build, insert, a search
+//                          or a serving submit is outside the input domain
+//                          (NaN or infinite). Nothing was changed or
+//                          queued; fix the caller's data.
 //
 // The mixin is deliberately interface-only (no message storage): the
 // standard base owns the message, and each concrete type forwards what()
@@ -111,6 +115,21 @@ class queue_full : public std::runtime_error, public error {
   explicit queue_full(const std::string& msg) : std::runtime_error(msg) {}
   const char* what() const noexcept override {
     return std::runtime_error::what();
+  }
+};
+
+// An input coordinate is outside the domain every search relies on: NaN or
+// infinite float values break the strict (dist, id) order that beams, sorts
+// and merges need, and would come back as plausible-looking neighbours with
+// NaN distances. Raised synchronously at the public entry point, before any
+// state changes. Kept on std::invalid_argument, like the other
+// caller-supplied-argument failures.
+class invalid_input : public std::invalid_argument, public error {
+ public:
+  explicit invalid_input(const std::string& msg)
+      : std::invalid_argument(msg) {}
+  const char* what() const noexcept override {
+    return std::invalid_argument::what();
   }
 };
 

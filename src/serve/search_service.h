@@ -5,8 +5,7 @@
 //   ann::AnyIndex index = ann::make_index(spec);
 //   index.build(points);
 //   ann::SearchService<std::uint8_t> service(std::move(index),
-//                                            {.max_batch = 64,
-//                                             .max_delay_ms = 1.0});
+//                                            {.max_batch = 64});
 //   auto future = service.submit(query, {.beam_width = 40, .k = 10});
 //   auto hits = future.get();          // std::vector<Neighbor>
 //   service.shutdown();                // drain + join (also in ~SearchService)
@@ -16,11 +15,12 @@
 //     admission control: an atomic credit counter bounds the queue at
 //     ServeParams::queue_capacity, and when it is full submit() either
 //     blocks (kBlock) or throws ann::queue_full (kReject).
-//   * A single dispatcher thread runs the adaptive micro-batcher: it
-//     coalesces queued requests until either max_batch requests are in hand
-//     or the OLDEST request has waited max_delay_ms, then executes the
-//     batch. Under saturation batches fill instantly (amortizing fan-out
-//     overhead); under trickle load the deadline bounds added latency.
+//   * A single dispatcher thread batches work-conservingly: it never holds
+//     a request back to wait for company. When idle it sleeps until a
+//     request is queued, then takes everything already queued (up to
+//     max_batch) and executes it at once. Requests that arrive while a
+//     batch executes coalesce into the next one, so batches grow with load
+//     on their own: one request at a trickle, max_batch under saturation.
 //   * Execution groups a flushed batch by identical QueryParams (per-request
 //     k / beam / epsilon / visit_limit overrides) and runs one
 //     AnyIndex::batch_search per group, so every request is answered with
@@ -131,11 +131,10 @@ struct DegradeParams {
 };
 
 struct ServeParams {
-  // Flush a batch when this many requests have coalesced.
+  // Most requests one dispatch takes from the queue. The dispatcher never
+  // waits for a batch to fill; this only caps how much of a backlog one
+  // batch_search call absorbs.
   std::size_t max_batch = 64;
-  // ... or when the oldest queued request has waited this long (the added
-  // latency bound under trickle load). 0 flushes whatever one drain finds.
-  double max_delay_ms = 1.0;
   // Exact bound on queued-but-not-yet-dispatched requests.
   std::size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
@@ -270,10 +269,7 @@ class SearchService {
   // shutdown and ann::queue_full when saturated under kReject.
   std::future<std::vector<Neighbor>> submit(std::span<const T> query,
                                             const QueryParams& params = {}) {
-    auto req = make_request(query, params);
-    auto future = req->promise.get_future();
-    enqueue(std::move(req));
-    return future;
+    return submit_one(make_request(query, params));
   }
 
   // Deadline-carrying submission: if the request is still queued
@@ -282,10 +278,7 @@ class SearchService {
   std::future<std::vector<Neighbor>> submit(std::span<const T> query,
                                             const QueryParams& params,
                                             const SubmitOptions& opts) {
-    auto req = make_request(query, params, {}, opts);
-    auto future = req->promise.get_future();
-    enqueue(std::move(req));
-    return future;
+    return submit_one(make_request(query, params, {}, opts));
   }
 
   // Pointer convenience overload; reads dims() elements.
@@ -299,7 +292,7 @@ class SearchService {
               Callback callback) {
     auto req = make_request(query, params);
     req->callback = std::move(callback);
-    enqueue(std::move(req));
+    enqueue({&req, 1});
   }
 
   // --- filtered submission ---------------------------------------------------
@@ -313,10 +306,7 @@ class SearchService {
                                             const FilterSpec& filter,
                                             const QueryParams& params = {},
                                             const SubmitOptions& opts = {}) {
-    auto req = make_request(query, params, filter, opts);
-    auto future = req->promise.get_future();
-    enqueue(std::move(req));
-    return future;
+    return submit_one(make_request(query, params, filter, opts));
   }
 
   std::future<std::vector<Neighbor>> submit(const T* query,
@@ -330,7 +320,7 @@ class SearchService {
               const QueryParams& params, Callback callback) {
     auto req = make_request(query, params, filter);
     req->callback = std::move(callback);
-    enqueue(std::move(req));
+    enqueue({&req, 1});
   }
 
   // --- quantized submission --------------------------------------------------
@@ -345,11 +335,9 @@ class SearchService {
       std::span<const T> query, const QueryParams& params = {},
       const SubmitOptions& opts = {}) {
     auto req = make_request(query, params, {}, opts);
-    req->quantized = true;
     require_quantized();
-    auto future = req->promise.get_future();
-    enqueue(std::move(req));
-    return future;
+    req->quantized = true;
+    return submit_one(std::move(req));
   }
 
   std::future<std::vector<Neighbor>> submit_quantized(
@@ -361,10 +349,10 @@ class SearchService {
   void submit_quantized(std::span<const T> query, const QueryParams& params,
                         Callback callback) {
     auto req = make_request(query, params);
-    req->quantized = true;
     require_quantized();
+    req->quantized = true;
     req->callback = std::move(callback);
-    enqueue(std::move(req));
+    enqueue({&req, 1});
   }
 
   // All-or-nothing batch submission: either every row is admitted (futures
@@ -398,7 +386,7 @@ class SearchService {
       futures.push_back(req->promise.get_future());
       requests.push_back(std::move(req));
     }
-    enqueue_all(requests);
+    enqueue(requests);
     return futures;
   }
 
@@ -533,10 +521,6 @@ class SearchService {
       throw std::invalid_argument(
           "ServeParams: queue_capacity must be positive");
     }
-    if (params.max_delay_ms < 0) {
-      throw std::invalid_argument(
-          "ServeParams: max_delay_ms must be non-negative");
-    }
     if (params.degrade.queue_high_watermark != 0 &&
         (params.degrade.beam_step == 0 || params.degrade.min_beam == 0)) {
       throw std::invalid_argument(
@@ -560,6 +544,7 @@ class SearchService {
           "SearchService::submit: query has " + std::to_string(query.size()) +
           " elements but the index holds dims " + std::to_string(dims_));
     }
+    internal::require_finite(query, "SearchService::submit");
     if (filter.uses_labels() && !index_snapshot()->has_labels()) {
       throw std::invalid_argument(
           "SearchService::submit: FilterSpec references labels but the "
@@ -577,22 +562,22 @@ class SearchService {
     return req;
   }
 
+  // The future is taken before the push: the dispatcher may complete the
+  // request the moment it is queued.
+  std::future<std::vector<Neighbor>> submit_one(std::unique_ptr<Request> req) {
+    auto future = req->promise.get_future();
+    enqueue({&req, 1});
+    return future;
+  }
+
   // Admission + push under one shared lifecycle lock: a request that gets
   // in happened-before any shutdown flip, so the dispatcher's post-stop
-  // drain is guaranteed to see it. The kBlock wait loop drops the lock
-  // between attempts (a blocked producer must never stall shutdown) and
-  // uses the scheduler's timed-wait idiom, tolerating missed wakeups.
-  void enqueue(std::unique_ptr<Request> req) {
-    std::unique_ptr<Request>* one = &req;
-    enqueue_span({one, 1});
-  }
-
-  void enqueue_all(std::vector<std::unique_ptr<Request>>& requests) {
+  // drain is guaranteed to see it. All-or-nothing for a multi-request span.
+  // The kBlock wait loop drops the lock between attempts (a blocked
+  // producer must never stall shutdown) and uses the scheduler's timed-wait
+  // idiom, tolerating missed wakeups.
+  void enqueue(std::span<std::unique_ptr<Request>> requests) {
     if (requests.empty()) return;
-    enqueue_span({requests.data(), requests.size()});
-  }
-
-  void enqueue_span(std::span<std::unique_ptr<Request>> requests) {
     const std::size_t n = requests.size();
     if (n > params_.queue_capacity) {
       throw std::invalid_argument(
@@ -660,24 +645,23 @@ class SearchService {
     return true;
   }
 
+  // Work-conserving: the only wait is the idle one. Once a request is
+  // queued, everything already behind it (up to max_batch) is taken without
+  // waiting and executed; whatever arrives meanwhile forms the next batch.
   void dispatch_loop() {
-    const auto max_delay = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(params_.max_delay_ms));
     std::vector<std::unique_ptr<Request>> batch;
     batch.reserve(params_.max_batch);
     for (;;) {
-      // Wait for the first request of the next batch (or drained stop).
       // The idle wait is unbounded, not polled: producers and shutdown()
       // acquire wake_mutex_ before notifying, and the queued_/stop_ check
       // happens under it, so a wakeup can never be lost. A nonzero
       // queued_ with a failing pop means a push is mid-flight — loop.
-      std::unique_ptr<Request> first;
-      while (!pop_one(first)) {
+      std::unique_ptr<Request> next;
+      while (!pop_one(next)) {
         if (stop_.load(std::memory_order_acquire)) {
           // One more look now that the stop flag (and so every push that
           // preceded it) is visible: the post-shutdown drain guarantee.
-          if (pop_one(first)) break;
+          if (pop_one(next)) break;
           return;
         }
         std::unique_lock<std::mutex> lock(wake_mutex_);
@@ -686,26 +670,9 @@ class SearchService {
           wake_cv_.wait(lock);
         }
       }
-      batch.push_back(std::move(first));
-      const auto deadline = batch.front()->enqueued + max_delay;
-      // Coalesce until max_batch or the oldest request's deadline (skip
-      // the wait during shutdown: flush immediately).
-      while (batch.size() < params_.max_batch) {
-        std::unique_ptr<Request> next;
-        if (pop_one(next)) {
-          batch.push_back(std::move(next));
-          continue;
-        }
-        if (stop_.load(std::memory_order_acquire)) break;
-        if (std::chrono::steady_clock::now() >= deadline) break;
-        // Batch open: sleep straight toward the deadline; a new arrival's
-        // notify (or shutdown) wakes us early to keep filling.
-        std::unique_lock<std::mutex> lock(wake_mutex_);
-        if (queued_.load(std::memory_order_relaxed) == 0 &&
-            !stop_.load(std::memory_order_acquire)) {
-          wake_cv_.wait_until(lock, deadline);
-        }
-      }
+      do {
+        batch.push_back(std::move(next));
+      } while (batch.size() < params_.max_batch && pop_one(next));
       execute_batch(batch);
       batch.clear();
     }
@@ -739,19 +706,10 @@ class SearchService {
       Request& req = *batch[i];
       if (req.deadline_ms > 0 && now >= req.deadline) {
         expired_.fetch_add(1, std::memory_order_relaxed);
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        auto error = std::make_exception_ptr(deadline_exceeded(
-            "SearchService: request expired in queue after " +
-            std::to_string(req.deadline_ms) + " ms"));
-        if (req.callback) {
-          try {
-            req.callback({}, error);
-          } catch (...) {
-            // Same contract as execute_group: callbacks must not throw.
-          }
-        } else {
-          req.promise.set_exception(error);
-        }
+        complete(req, {},
+                 std::make_exception_ptr(deadline_exceeded(
+                     "SearchService: request expired in queue after " +
+                     std::to_string(req.deadline_ms) + " ms")));
         continue;
       }
       batch[kept++] = std::move(batch[i]);
@@ -881,24 +839,28 @@ class SearchService {
           std::chrono::duration_cast<std::chrono::nanoseconds>(now -
                                                                req.enqueued)
               .count()));
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      if (req.callback) {
-        try {
-          if (error) {
-            req.callback({}, error);
-          } else {
-            req.callback(std::move(results[g]), nullptr);
-          }
-        } catch (...) {
-          // The contract is "callbacks must not throw"; swallowing here
-          // keeps one misbehaving callback from killing the dispatcher
-          // (and with it every other in-flight request).
-        }
-      } else if (error) {
-        req.promise.set_exception(error);
-      } else {
-        req.promise.set_value(std::move(results[g]));
+      complete(req, error ? std::vector<Neighbor>{} : std::move(results[g]),
+               error);
+    }
+  }
+
+  // The one completion path: hands the request its result, or its error
+  // when error is non-null, through its callback or its promise.
+  void complete(Request& req, std::vector<Neighbor> result,
+                std::exception_ptr error) {
+    completed_.fetch_add(1, std::memory_order_relaxed);
+    if (req.callback) {
+      try {
+        req.callback(std::move(result), error);
+      } catch (...) {
+        // The contract is "callbacks must not throw"; swallowing here
+        // keeps one misbehaving callback from killing the dispatcher (and
+        // with it every other in-flight request).
       }
+    } else if (error) {
+      req.promise.set_exception(error);
+    } else {
+      req.promise.set_value(std::move(result));
     }
   }
 
@@ -919,7 +881,7 @@ class SearchService {
   std::shared_mutex lifecycle_mutex_;  // submit: shared / shutdown: unique
   bool accepting_ = true;              // guarded by lifecycle_mutex_
   std::atomic<bool> stop_{false};
-  std::mutex wake_mutex_;              // dispatcher idle/deadline waits
+  std::mutex wake_mutex_;              // dispatcher idle wait
   std::condition_variable wake_cv_;
   std::mutex space_mutex_;             // kBlock producers waiting for space
   std::condition_variable space_cv_;

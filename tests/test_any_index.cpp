@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -249,6 +251,76 @@ TEST(AnyIndexConformance, RangeSearchFindsTrueNeighbors) {
     EXPECT_GE(static_cast<double>(hits) / static_cast<double>(want), 0.9)
         << algorithm;
   }
+}
+
+// Input domain: a NaN or infinite float coordinate is rejected with the
+// typed ann::invalid_input at every entry point, before anything changes —
+// not answered with k "neighbours" at NaN distance.
+TEST(AnyIndexInputDomain, NonFiniteFloatInputsRejected) {
+  constexpr std::size_t kDims = 8;
+  const auto base = ann::make_uniform<float>(300, kDims, -1, 1, 5);
+  const auto queries = ann::make_uniform<float>(4, kDims, -1, 1, 6);
+  auto index = ann::make_index(
+      {.algorithm = "diskann", .metric = "euclidean", .dtype = "float"});
+  index.build(base);
+  auto mutable_index = ann::make_index({.algorithm = "dynamic_diskann",
+                                        .metric = "euclidean",
+                                        .dtype = "float"});
+  mutable_index.build(base);
+  index.attach_quantized({.kind = ann::QuantKind::kInt8});
+  ann::LabelStore labels;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    labels.add_point_names({i % 2 == 0 ? "even" : "odd"});
+  }
+  index.attach_labels(std::move(labels));
+  const auto even = ann::FilterSpec::match_any(index.labels(), {"even"});
+  const std::vector<ann::FilterSpec> filters(queries.size(), even);
+  const QueryParams qp{.beam_width = 16, .k = 5};
+
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    auto bad_rows = queries;
+    bad_rows.mutable_point(2)[kDims - 1] = bad;
+    const float* bad_query = bad_rows[2];
+
+    EXPECT_THROW(index.search(bad_query, qp), ann::invalid_input);
+    EXPECT_THROW(index.batch_search(bad_rows, qp), ann::invalid_input);
+    EXPECT_THROW(index.range_search(bad_query, 1.0f), ann::invalid_input);
+    EXPECT_THROW(index.filtered_search(bad_query, even, qp),
+                 ann::invalid_input);
+    EXPECT_THROW(index.filtered_batch_search(bad_rows, even, qp),
+                 ann::invalid_input);
+    EXPECT_THROW(index.filtered_batch_search(
+                     bad_rows, std::span<const ann::FilterSpec>(filters), qp),
+                 ann::invalid_input);
+    EXPECT_THROW(index.quantized_search(bad_query, qp), ann::invalid_input);
+    EXPECT_THROW(index.quantized_batch_search(bad_rows, qp),
+                 ann::invalid_input);
+
+    // Mutation and construction reject the whole batch and change nothing.
+    EXPECT_THROW(mutable_index.insert(bad_rows), ann::invalid_input);
+    EXPECT_EQ(mutable_index.stats().num_points, base.size());
+    auto fresh = ann::make_index(
+        {.algorithm = "diskann", .metric = "euclidean", .dtype = "float"});
+    auto bad_base = base;
+    bad_base.mutable_point(123)[0] = bad;
+    EXPECT_THROW(fresh.build(bad_base), ann::invalid_input);
+    EXPECT_THROW(fresh.build(std::move(bad_base)), ann::invalid_input);
+    EXPECT_EQ(fresh.stats().num_points, 0u);
+
+    // The typed error is inside the ann::error fence and still a
+    // std::invalid_argument for pre-taxonomy catch sites.
+    try {
+      index.search(bad_query, qp);
+      ADD_FAILURE() << "non-finite query accepted";
+    } catch (const ann::error& e) {
+      EXPECT_NE(dynamic_cast<const std::invalid_argument*>(&e), nullptr);
+    }
+  }
+  // Finite inputs still work after the rejections.
+  EXPECT_EQ(index.search(queries[0], qp).size(), 5u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Serving-layer suite: the determinism boundary (batched-service results
-// element-wise identical to direct AnyIndex::batch_search), the adaptive
-// micro-batcher's two flush triggers, both backpressure policies, the
+// element-wise identical to direct AnyIndex::batch_search), the
+// work-conserving batcher's coalescing, both backpressure policies, the
 // error paths, and submit/shutdown races. Runs under the ASan+UBSan CI job
 // like every other test.
 //
@@ -13,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -43,6 +45,37 @@ AnyIndex make_built_index() {
   index.build(dataset().base);
   return index;
 }
+
+// Occupies the dispatcher with one request whose callback blocks until
+// release(); everything submitted meanwhile stays queued behind it. The
+// constructor returns once that callback runs, so the plug's own batch is
+// already closed. The destructor releases a plug the test left in.
+class DispatcherPlug {
+ public:
+  explicit DispatcherPlug(SearchService<std::uint8_t>& service) {
+    auto entered = std::make_shared<std::promise<void>>();
+    std::future<void> running = entered->get_future();
+    service.submit(
+        std::span<const std::uint8_t>(dataset().queries[0], service.dims()),
+        {.beam_width = 16, .k = 5},
+        [entered, gate = gate_](std::vector<Neighbor>, std::exception_ptr) {
+          entered->set_value();
+          gate.wait();
+        });
+    running.wait();
+  }
+  ~DispatcherPlug() { release(); }
+
+  void release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> gate_{release_.get_future()};
+  bool released_ = false;
+};
 
 // --- the queue itself --------------------------------------------------------
 
@@ -112,7 +145,7 @@ TEST(SearchService, ResultsMatchDirectBatchSearch) {
   auto expected = direct.batch_search(ds.queries, qp);
 
   SearchService<std::uint8_t> service(make_built_index(),
-                                      {.max_batch = 8, .max_delay_ms = 2.0});
+                                      {.max_batch = 8});
   std::vector<std::future<std::vector<Neighbor>>> futures;
   futures.reserve(ds.queries.size());
   for (std::size_t i = 0; i < ds.queries.size(); ++i) {
@@ -147,7 +180,7 @@ TEST(SearchService, PerRequestParamOverridesGroupCorrectly) {
   auto expect_narrow = direct.batch_search(ds.queries, narrow);
 
   SearchService<std::uint8_t> service(make_built_index(),
-                                      {.max_batch = 16, .max_delay_ms = 2.0});
+                                      {.max_batch = 16});
   std::vector<std::future<std::vector<Neighbor>>> wide_futures;
   std::vector<std::future<std::vector<Neighbor>>> narrow_futures;
   for (std::size_t i = 0; i < ds.queries.size(); ++i) {
@@ -174,7 +207,7 @@ TEST(SearchService, SubmitBatchParity) {
   auto expected = direct.batch_search(ds.queries, qp);
 
   SearchService<std::uint8_t> service(make_built_index(),
-                                      {.max_batch = 32, .max_delay_ms = 1.0});
+                                      {.max_batch = 32});
   auto futures = service.submit_batch(ds.queries, qp);
   ASSERT_EQ(futures.size(), ds.queries.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -192,7 +225,7 @@ TEST(SearchService, ConcurrentSubmittersStillGetExactResults) {
   auto expected = direct.batch_search(ds.queries, qp);
 
   SearchService<std::uint8_t> service(make_built_index(),
-                                      {.max_batch = 8, .max_delay_ms = 1.0});
+                                      {.max_batch = 8});
   constexpr int kThreads = 4;
   std::vector<std::vector<std::size_t>> mismatches(kThreads);
   std::vector<std::thread> threads;
@@ -212,71 +245,50 @@ TEST(SearchService, ConcurrentSubmittersStillGetExactResults) {
   }
 }
 
-// --- micro-batcher flush triggers --------------------------------------------
+// --- work-conserving batching ----------------------------------------------
 
-// Deadline flush: with a huge max_batch, a single trickle request must not
-// wait for a batch to fill — the max-latency deadline flushes it.
-TEST(SearchService, DeadlineFlushFiresUnderTrickleLoad) {
+// The dispatcher never waits for company: requests queued while a batch
+// executes coalesce into the next batches, max_batch at a time. With the
+// plug's lone batch executing, 2 * max_batch + 1 queued requests must go
+// out as exactly three more batches (full, full, one), each answered
+// exactly as a direct batch_search answers it.
+TEST(SearchService, ArrivalsDuringExecutionCoalesceUpToMaxBatch) {
   const auto& ds = dataset();
-  SearchService<std::uint8_t> service(
-      make_built_index(),
-      {.max_batch = 1000, .max_delay_ms = 5.0, .queue_capacity = 16});
-  auto future = service.submit(ds.queries[0], {.beam_width = 32, .k = 10});
-  // Generous bound (sanitized single-core CI): the point is that it
-  // completes at all rather than waiting for 999 more requests.
-  ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
-  auto stats = service.stats();
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_occupancy, 1.0);
-}
+  constexpr std::size_t kMaxBatch = 4;
+  const QueryParams qp{.beam_width = 32, .k = 10};
+  AnyIndex direct = make_built_index();
+  auto expected = direct.batch_search(ds.queries, qp);
 
-// Size flush: with a huge deadline, filling max_batch must flush without
-// waiting anywhere near the deadline.
-TEST(SearchService, MaxBatchFlushFiresBeforeDeadline) {
-  const auto& ds = dataset();
-  SearchService<std::uint8_t> service(
-      make_built_index(),
-      {.max_batch = 4, .max_delay_ms = 60000.0, .queue_capacity = 64});
+  SearchService<std::uint8_t> service(make_built_index(),
+                                      {.max_batch = kMaxBatch});
+  DispatcherPlug plug(service);
   std::vector<std::future<std::vector<Neighbor>>> futures;
-  for (std::size_t i = 0; i < 8; ++i) {
-    futures.push_back(
-        service.submit(ds.queries[static_cast<PointId>(i)],
-                       {.beam_width = 32, .k = 10}));
+  for (std::size_t i = 0; i < 2 * kMaxBatch + 1; ++i) {
+    futures.push_back(service.submit(ds.queries[static_cast<PointId>(i)], qp));
   }
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
-              std::future_status::ready);
+  EXPECT_EQ(service.stats().queue_depth, 2 * kMaxBatch + 1);
+  plug.release();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), expected[i]) << "query " << i;
   }
-  EXPECT_EQ(service.stats().completed, 8u);
+  service.shutdown();
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.batches, 1u + 3u);
+  EXPECT_EQ(stats.completed, 2 * kMaxBatch + 2);
 }
 
 // --- backpressure ------------------------------------------------------------
 
-// Plug the dispatcher with a callback that blocks on a latch; the queue
-// then fills deterministically and the policy is observable.
+// Plug the dispatcher; the queue then fills deterministically and the
+// policy is observable.
 TEST(SearchService, RejectPolicyThrowsQueueFullWhenSaturated) {
   const auto& ds = dataset();
   SearchService<std::uint8_t> service(
       make_built_index(),
-      {.max_batch = 1, .max_delay_ms = 0.0, .queue_capacity = 2,
+      {.max_batch = 1, .queue_capacity = 2,
        .backpressure = BackpressurePolicy::kReject});
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::atomic<int> callbacks_run{0};
-  // This request occupies the dispatcher (callbacks run on its thread).
-  service.submit(std::span<const std::uint8_t>(ds.queries[0], service.dims()),
-                 {.beam_width = 16, .k = 5},
-                 [&, gate](std::vector<Neighbor>, std::exception_ptr) {
-                   gate.wait();
-                   callbacks_run.fetch_add(1);
-                 });
-  // Wait until the dispatcher has picked it up (queue drains to 0).
-  while (service.stats().queue_depth != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Now fill the queue to capacity behind the stuck dispatcher...
+  DispatcherPlug plug(service);
+  // Fill the queue to capacity behind the stuck dispatcher...
   std::vector<std::future<std::vector<Neighbor>>> queued;
   for (int i = 0; i < 2; ++i) {
     queued.push_back(service.submit(ds.queries[1], {.beam_width = 16, .k = 5}));
@@ -290,31 +302,22 @@ TEST(SearchService, RejectPolicyThrowsQueueFullWhenSaturated) {
   EXPECT_THROW(service.submit_batch(ds.queries.slice(0, 2),
                                     {.beam_width = 16, .k = 5}),
                queue_full);
-  release.set_value();
+  plug.release();
   for (auto& f : queued) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(30)),
               std::future_status::ready);
   }
   service.shutdown();
-  EXPECT_EQ(callbacks_run.load(), 1);
+  EXPECT_EQ(service.stats().completed, 3u);
 }
 
 TEST(SearchService, BlockPolicyThrottlesProducerUntilSpaceFrees) {
   const auto& ds = dataset();
   SearchService<std::uint8_t> service(
       make_built_index(),
-      {.max_batch = 1, .max_delay_ms = 0.0, .queue_capacity = 1,
+      {.max_batch = 1, .queue_capacity = 1,
        .backpressure = BackpressurePolicy::kBlock});
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  service.submit(std::span<const std::uint8_t>(ds.queries[0], service.dims()),
-                 {.beam_width = 16, .k = 5},
-                 [gate](std::vector<Neighbor>, std::exception_ptr) {
-                   gate.wait();
-                 });
-  while (service.stats().queue_depth != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  DispatcherPlug plug(service);
   auto fill = service.submit(ds.queries[1], {.beam_width = 16, .k = 5});
   // The queue (capacity 1) is now full; this submit must block...
   std::atomic<bool> second_submitted{false};
@@ -326,7 +329,7 @@ TEST(SearchService, BlockPolicyThrottlesProducerUntilSpaceFrees) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(second_submitted.load());
   // ...until the dispatcher frees space.
-  release.set_value();
+  plug.release();
   blocked.join();
   EXPECT_TRUE(second_submitted.load());
   ASSERT_EQ(fill.wait_for(std::chrono::seconds(30)),
@@ -351,9 +354,6 @@ TEST(SearchService, InvalidServeParamsRejectedAtConstruction) {
                std::invalid_argument);
   EXPECT_THROW(SearchService<std::uint8_t>(make_built_index(),
                                            {.max_batch = 0}),
-               std::invalid_argument);
-  EXPECT_THROW(SearchService<std::uint8_t>(make_built_index(),
-                                           {.max_delay_ms = -1.0}),
                std::invalid_argument);
 }
 
@@ -398,8 +398,7 @@ TEST(SearchService, ConcurrentSubmitAndShutdownDrainsAccepted) {
   constexpr int kPerThread = 200;
   auto service = std::make_unique<SearchService<std::uint8_t>>(
       make_built_index(),
-      ServeParams{.max_batch = 16, .max_delay_ms = 0.5,
-                  .queue_capacity = 64});
+      ServeParams{.max_batch = 16, .queue_capacity = 64});
   std::atomic<int> accepted{0};
   std::atomic<int> refused{0};
   std::vector<std::vector<std::future<std::vector<Neighbor>>>> futures(
@@ -444,7 +443,7 @@ TEST(SearchService, DestructorDrainsInFlightRequests) {
   {
     SearchService<std::uint8_t> service(
         make_built_index(),
-        {.max_batch = 8, .max_delay_ms = 5.0, .queue_capacity = 64});
+        {.max_batch = 8, .queue_capacity = 64});
     for (std::size_t i = 0; i < 32; ++i) {
       futures.push_back(service.submit(
           ds.queries[static_cast<PointId>(i % ds.queries.size())],
@@ -485,7 +484,7 @@ TEST(SearchService, FilteredSubmitMatchesDirectFilteredBatchSearch) {
   auto expected = direct.filtered_batch_search(ds.queries, spec, qp);
 
   SearchService<std::uint8_t> service(make_labeled_index(),
-                                      {.max_batch = 8, .max_delay_ms = 2.0});
+                                      {.max_batch = 8});
   std::vector<std::future<std::vector<Neighbor>>> futures;
   for (std::size_t i = 0; i < ds.queries.size(); ++i) {
     futures.push_back(
@@ -514,7 +513,7 @@ TEST(SearchService, MixedFilteredAndUnfilteredBatchesGroupCorrectly) {
   auto expect_even = direct.filtered_batch_search(ds.queries, even, qp);
 
   SearchService<std::uint8_t> service(make_labeled_index(),
-                                      {.max_batch = 16, .max_delay_ms = 2.0});
+                                      {.max_batch = 16});
   std::vector<std::future<std::vector<Neighbor>>> plain_futures;
   std::vector<std::future<std::vector<Neighbor>>> even_futures;
   for (std::size_t i = 0; i < ds.queries.size(); ++i) {
@@ -545,7 +544,7 @@ TEST(SearchService, FilteredSubmitBatchParity) {
   auto expected = direct.filtered_batch_search(ds.queries, spec, qp);
 
   SearchService<std::uint8_t> service(make_labeled_index(),
-                                      {.max_batch = 32, .max_delay_ms = 1.0});
+                                      {.max_batch = 32});
   auto futures = service.submit_batch(ds.queries, spec, qp);
   ASSERT_EQ(futures.size(), ds.queries.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -590,7 +589,7 @@ TEST(SearchService, QuantizedSubmitMatchesDirectQuantizedSearch) {
   auto expected = direct.quantized_batch_search(ds.queries, qp);
 
   SearchService<std::uint8_t> service(make_quantized_index(),
-                                      {.max_batch = 8, .max_delay_ms = 2.0});
+                                      {.max_batch = 8});
   std::vector<std::future<std::vector<Neighbor>>> futures;
   futures.reserve(ds.queries.size());
   for (std::size_t i = 0; i < ds.queries.size(); ++i) {
@@ -617,7 +616,7 @@ TEST(SearchService, QuantizedAndPlainRequestsGroupSeparately) {
 
   AnyIndex direct = make_quantized_index();
   SearchService<std::uint8_t> service(make_quantized_index(),
-                                      {.max_batch = 16, .max_delay_ms = 5.0});
+                                      {.max_batch = 16});
   std::vector<std::future<std::vector<Neighbor>>> futures;
   std::vector<std::vector<Neighbor>> expected;
   for (std::size_t i = 0; i < 12; ++i) {
@@ -656,7 +655,7 @@ TEST(SearchService, QuantizedSubmitWithoutStoreRejectedAtSubmit) {
 // --- deadlines, degradation, hot swap (docs/RELIABILITY.md) ------------------
 
 // A request whose deadline elapses while it waits in the queue is failed
-// with ann::deadline_exceeded at flush time; a batchmate without a
+// with ann::deadline_exceeded at dispatch time; a batchmate without a
 // deadline is searched and answered normally.
 TEST(SearchService, DeadlineExpiresInQueueWithoutHarmingBatchmates) {
   const auto& ds = dataset();
@@ -665,23 +664,24 @@ TEST(SearchService, DeadlineExpiresInQueueWithoutHarmingBatchmates) {
   AnyIndex direct = make_built_index();
   auto expected = direct.batch_search(ds.queries, qp);
 
-  // max_batch 8 with only two submissions: the flush waits out the 250 ms
-  // delay bound, far past the 1 ms deadline.
-  SearchService<std::uint8_t> service(
-      make_built_index(), {.max_batch = 8, .max_delay_ms = 250.0});
+  SearchService<std::uint8_t> service(make_built_index(), {.max_batch = 8});
+  DispatcherPlug plug(service);
   auto doomed = service.submit(
       std::span<const std::uint8_t>(ds.queries[0], service.dims()), qp,
       SubmitOptions{.deadline_ms = 1});
   auto healthy = service.submit(
       std::span<const std::uint8_t>(ds.queries[1], service.dims()), qp,
       SubmitOptions{.deadline_ms = 60'000});
+  // Both wait behind the plug well past the doomed request's 1 ms.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  plug.release();
 
   EXPECT_THROW(doomed.get(), deadline_exceeded);
   EXPECT_EQ(healthy.get(), expected[1]);
   service.shutdown();
   auto stats = service.stats();
   EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.submitted, 3u);  // the plug, doomed, healthy
 }
 
 TEST(SearchService, NegativeDeadlineRejectedAtSubmit) {
@@ -702,7 +702,7 @@ TEST(SearchService, DegradeShedsEffortUnderPressure) {
   QueryParams qp{.beam_width = 64, .k = 10};
   SearchService<std::uint8_t> service(
       make_built_index(),
-      {.max_batch = 8, .max_delay_ms = 0.0, .queue_capacity = 256,
+      {.max_batch = 8, .queue_capacity = 256,
        .degrade = {.queue_high_watermark = 4, .beam_step = 8,
                    .min_beam = 8}});
   // 64 requests admitted in one all-or-nothing batch: the queue is deep the
@@ -774,7 +774,7 @@ TEST(SearchService, SwapIndexUnderLoadLosesNothing) {
   auto expected_b = b.batch_search(ds.queries, qp);  // before the service runs
 
   SearchService<std::uint8_t> service(make_built_index(),
-                                      {.max_batch = 16, .max_delay_ms = 0.5});
+                                      {.max_batch = 16});
   std::atomic<bool> stop{false};
   std::atomic<int> answered{0};
   std::vector<std::thread> submitters;
@@ -810,6 +810,49 @@ TEST(SearchService, SwapIndexUnderLoadLosesNothing) {
   EXPECT_EQ(stats.swaps, 1u);
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.rejected, 0u);
+}
+
+// Non-finite float queries are refused synchronously at every submit
+// overload with ann::invalid_input, like the dims check: they never reach
+// a batch, so nothing is queued, counted or completed for them.
+TEST(SearchService, NonFiniteFloatQueriesRejectedAtSubmit) {
+  constexpr std::size_t kDims = 8;
+  auto index = make_index(
+      {.algorithm = "diskann", .metric = "euclidean", .dtype = "float"});
+  index.build(make_uniform<float>(300, kDims, -1, 1, 5));
+  index.attach_quantized({.kind = QuantKind::kInt8});
+  const QueryParams qp{.beam_width = 16, .k = 5};
+  const auto predicate = FilterSpec::where([](PointId) { return true; });
+  SearchService<float> service(std::move(index), {});
+
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    PointSet<float> rows = make_uniform<float>(3, kDims, -1, 1, 6);
+    rows.mutable_point(1)[3] = bad;
+    const std::span<const float> query(rows[1], kDims);
+    auto never = [](std::vector<Neighbor>, std::exception_ptr) {
+      ADD_FAILURE() << "callback ran for a rejected request";
+    };
+    EXPECT_THROW(service.submit(query, qp), invalid_input);
+    EXPECT_THROW(service.submit(rows[1], qp), invalid_input);
+    EXPECT_THROW(service.submit(query, qp, SubmitOptions{.deadline_ms = 5}),
+                 invalid_input);
+    EXPECT_THROW(service.submit(query, qp, never), invalid_input);
+    EXPECT_THROW(service.submit(query, predicate, qp), invalid_input);
+    EXPECT_THROW(service.submit(query, predicate, qp, never), invalid_input);
+    EXPECT_THROW(service.submit_quantized(query, qp), invalid_input);
+    EXPECT_THROW(service.submit_quantized(query, qp, never), invalid_input);
+    // All-or-nothing: one bad row refuses the whole batch.
+    EXPECT_THROW(service.submit_batch(rows, qp), invalid_input);
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.batches, 0u);
+  // Finite traffic is unaffected.
+  PointSet<float> ok = make_uniform<float>(1, kDims, -1, 1, 7);
+  EXPECT_EQ(service.submit(ok[0], qp).get().size(), 5u);
 }
 
 // The serve() convenience factory wires the same machinery.
