@@ -17,11 +17,19 @@
 //      worker and the full machine, and the int8 store over uint8 data (a
 //      lossless encoding: code = x - 128, scale 1) must reproduce the
 //      full-precision search EXACTLY — same ids, same distances.
+//   4. PQ TRAINING: codebooks and codes trained on the active SIMD tier must
+//      equal those trained on the generic tier (k-means assignment sums in
+//      one order on every tier; enforced at every scale). At scale >= 1 on
+//      the avx2/avx512 tiers, training must also be >= 1.5x faster than on
+//      the generic tier.
 //
 // Usage: bench_quantized_search [scale]   (ctest smoke runs scale 0.05)
 #include "bench_common.h"
 
 #include <cstdio>
+
+#include "core/simd/caps.h"
+#include "ivf/pq.h"
 
 namespace {
 
@@ -178,6 +186,43 @@ int main(int argc, char** argv) {
     std::printf("int8-over-uint8 exactness (quantized == full precision): "
                 "%s\n", pass ? "PASS" : "FAIL");
     if (!pass) ++failures;
+  }
+
+  // Gate 4: PQ training is bit-identical across tiers, and faster on the
+  // dispatched ones.
+  {
+    const PQParams pqp{.num_subspaces = 16, .num_codes = 256};
+    ProductQuantizer<float> pq;
+    std::vector<std::uint8_t> codes;
+    const double active_s = bench::time_s([&] {
+      pq = ProductQuantizer<float>::train(base, pqp);
+      codes = pq.encode(base);
+    });
+    ProductQuantizer<float> generic_pq;
+    std::vector<std::uint8_t> generic_codes;
+    double generic_s = 0.0;
+    {
+      simd::ScopedTier generic(simd::Tier::kGeneric);
+      generic_s = bench::time_s([&] {
+        generic_pq = ProductQuantizer<float>::train(base, pqp);
+        generic_codes = generic_pq.encode(base);
+      });
+    }
+    const simd::Tier tier = simd::active_tier();
+    bool pass = pq == generic_pq && codes == generic_codes;
+    std::printf("pq train+encode: %s %.2fs, generic %.2fs (%.2fx)\n",
+                simd::tier_name(tier), active_s, generic_s,
+                generic_s / active_s);
+    std::printf("pq codebooks and codes equal the generic tier's: %s\n",
+                pass ? "PASS" : "FAIL");
+    if (!pass) ++failures;
+    if (s >= 1.0 &&
+        (tier == simd::Tier::kAvx2 || tier == simd::Tier::kAvx512)) {
+      const bool fast = generic_s >= 1.5 * active_s;
+      std::printf("pq train speedup (gate >= 1.5x over generic): %s\n",
+                  fast ? "PASS" : "FAIL");
+      if (!fast) ++failures;
+    }
   }
 
   std::remove(vec_path.c_str());

@@ -256,6 +256,28 @@ void require_finite(const PointSet<T>& points, const char* where) {
         where, i);
   }
 }
+
+// The same check for the float fields of the search parameters, for every
+// dtype: a NaN filter_beam_factor would pass the `<= 0` auto test and
+// reach std::ceil(L * NaN) cast to an integer.
+inline void require_finite_param(float value, const char* where,
+                                 const char* field) {
+  if (!std::isfinite(value)) {
+    throw invalid_input(std::string(where) + ": " + field + " is " +
+                        (std::isnan(value) ? "NaN" : "infinite"));
+  }
+}
+
+inline void require_finite(const QueryParams& params, const char* where) {
+  require_finite_param(params.epsilon, where, "QueryParams::epsilon");
+  require_finite_param(params.filter_beam_factor, where,
+                       "QueryParams::filter_beam_factor");
+}
+
+inline void require_finite(const RangeSearchParams& params,
+                           const char* where) {
+  require_finite_param(params.radius, where, "RangeSearchParams::radius");
+}
 }  // namespace internal
 
 class AnyIndex {
@@ -305,6 +327,7 @@ class AnyIndex {
                                const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("search");
     require_finite_query(query, backend, "AnyIndex::search");
+    internal::require_finite(params, "AnyIndex::search");
     // k contract + unbuilt-index handling: backends past this point see a
     // non-empty structure and 1 <= k <= num_points.
     auto p = clamp_k(params, backend.num_points());
@@ -323,6 +346,7 @@ class AnyIndex {
       const PointSet<T>& queries, const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("batch_search");
     internal::require_finite(queries, "AnyIndex::batch_search");
+    internal::require_finite(params, "AnyIndex::batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -345,6 +369,7 @@ class AnyIndex {
                                      const RangeSearchParams& params) const {
     const TypedBackend<T>& backend = typed<T>("range_search");
     require_finite_query(query, backend, "AnyIndex::range_search");
+    internal::require_finite(params, "AnyIndex::range_search");
     if (backend.num_points() == 0) return {};
     return backend.range_search(query, params);
   }
@@ -396,6 +421,7 @@ class AnyIndex {
                                         const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_search");
     require_finite_query(query, backend, "AnyIndex::filtered_search");
+    internal::require_finite(params, "AnyIndex::filtered_search");
     auto p = clamp_k(params, backend.num_points());
     if (!p) return {};
     if (!filter.active()) return backend.search(query, *p);
@@ -414,6 +440,7 @@ class AnyIndex {
       const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
     internal::require_finite(queries, "AnyIndex::filtered_batch_search");
+    internal::require_finite(params, "AnyIndex::filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -446,6 +473,7 @@ class AnyIndex {
     }
     const TypedBackend<T>& backend = typed<T>("filtered_batch_search");
     internal::require_finite(queries, "AnyIndex::filtered_batch_search");
+    internal::require_finite(params, "AnyIndex::filtered_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;
@@ -507,6 +535,7 @@ class AnyIndex {
                                          const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("quantized_search");
     require_finite_query(query, backend, "AnyIndex::quantized_search");
+    internal::require_finite(params, "AnyIndex::quantized_search");
     auto p = clamp_k(params, backend.num_points());
     if (!p) return {};
     return backend.quantized_search(query, *p);
@@ -519,6 +548,7 @@ class AnyIndex {
       const PointSet<T>& queries, const QueryParams& params = {}) const {
     const TypedBackend<T>& backend = typed<T>("quantized_batch_search");
     internal::require_finite(queries, "AnyIndex::quantized_batch_search");
+    internal::require_finite(params, "AnyIndex::quantized_batch_search");
     std::vector<std::vector<Neighbor>> results(queries.size());
     auto p = clamp_k(params, backend.num_points());
     if (!p) return results;

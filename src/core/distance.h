@@ -51,6 +51,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include "core/simd/kernel_table.h"
@@ -237,7 +238,47 @@ inline float self_dot(const T* a, std::size_t d) {
   return lane_sum(acc);
 }
 
+// The generic and scalar tiers' nearest_l2_block (kernel_table.h): one
+// l2_kernel<float, float, float> sum per column of the dims-major block,
+// read down the column, in a sequential first-minimum scan.
+inline simd::BlockArgmin nearest_l2_block(const float* block,
+                                          std::size_t width, const float* q,
+                                          std::size_t d) {
+  constexpr std::size_t kLanes = kFloatLanes;
+  simd::BlockArgmin best{0, std::numeric_limits<float>::infinity()};
+  for (std::size_t c = 0; c < width; ++c) {
+    const float* col = block + c;
+    float acc[kLanes] = {};
+    std::size_t i = 0;
+    for (; i + kLanes <= d; i += kLanes) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        float diff = col[(i + j) * width] - q[i + j];
+        acc[j] += diff * diff;
+      }
+    }
+    for (std::size_t j = 0; j < kLanes && i < d; ++i, ++j) {
+      float diff = col[i * width] - q[i];
+      acc[j] += diff * diff;
+    }
+    const float dist = lane_sum(acc);
+    if (dist < best.dist) best = {static_cast<std::uint32_t>(c), dist};
+  }
+  return best;
+}
+
 }  // namespace internal
+
+// Argmin of L2^2 between q and the columns of a dims-major centroid block
+// (layout in kernel_table.h), routed through the active tier. Uncounted:
+// callers bump DistanceCounter by their real centroid count.
+inline simd::BlockArgmin nearest_l2_block(const float* block,
+                                          std::size_t width, const float* q,
+                                          std::size_t d) {
+  if (const simd::KernelTable* t = simd::active_table()) {
+    return t->nearest_l2_block(block, width, q, d);
+  }
+  return internal::nearest_l2_block(block, width, q, d);
+}
 
 // Empty per-query state for metrics with no query-only precomputation.
 struct NoQueryState {};

@@ -38,7 +38,9 @@ Caps detect_caps() {
 // attribution floor. The cosine family is compositional — dot_norm and
 // dot_norm2 call the same scalar_fdot/scalar_self instantiations — so the
 // per-tier bitwise contract (self_dot == dot_norm2's |a|^2, dot_norm ==
-// dot_norm2's dot/|b|^2) holds structurally.
+// dot_norm2's dot/|b|^2) holds structurally. nearest_l2_block is the
+// exception: its summation order is the same on every tier (kernel_table.h),
+// so both always-available tables share the generic one.
 
 template <typename T>
 float scalar_l2(const T* a, const T* b, std::size_t d) {
@@ -113,6 +115,7 @@ const KernelTable* scalar_table() {
       scalar_self<float>,
       scalar_self<std::uint8_t>,
       scalar_self<std::int8_t>,
+      ann::internal::nearest_l2_block,
   };
   return &table;
 }
@@ -172,6 +175,7 @@ const KernelTable* generic_table() {
       generic_self<float>,
       generic_self<std::uint8_t>,
       generic_self<std::int8_t>,
+      ann::internal::nearest_l2_block,
   };
   return &table;
 }

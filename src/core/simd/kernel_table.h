@@ -11,6 +11,18 @@
 //   dot_norm2 <a,b>, |a|^2, |b|^2 one pass  — cosine, per-pair path
 //   self_dot  |a|^2                          — cosine prepare()
 //
+// plus one float-only entry, the k-means assignment step:
+//
+//   nearest_l2_block  argmin of L2^2 over a dims-major centroid block
+//
+// Unlike the float distance kernels, nearest_l2_block is BIT-identical
+// across tiers: every tier sums each centroid in the generic l2_kernel's
+// order (dim i into lane i % 8, in order, then the fixed halving tree) with
+// separate multiply and add, so the ISA tiers only change how many
+// centroids are summed at once. The ISA versions are compiled with
+// floating-point contraction off; GCC otherwise fuses mul+add intrinsics
+// into vfmadd under -mfma.
+//
 // Cosine is float math for every element type, so the u8/i8 cosine-family
 // entries widen to float and fall under the FLOAT determinism rules: fixed
 // accumulation order within a tier, last-ulp divergence across tiers. The
@@ -35,6 +47,19 @@
 #include "core/simd/caps.h"
 
 namespace ann::simd {
+
+// The centroid block nearest_l2_block reads: dim i of centroid c at
+// block[i * width + c], with width a multiple of kCentroidBlockWidth (one
+// AVX-512 register of floats) and the columns past the last centroid
+// filled with +inf, so they never win.
+inline constexpr std::size_t kCentroidBlockWidth = 16;
+
+// Nearest centroid's index (ties -> smaller index) and its L2^2. When no
+// distance is below +inf the result is {0, +inf}.
+struct BlockArgmin {
+  std::uint32_t index;
+  float dist;
+};
 
 struct KernelTable {
   const char* name;  // tier_name() of the owning tier
@@ -64,6 +89,9 @@ struct KernelTable {
   float (*self_dot_f32)(const float* a, std::size_t d);
   float (*self_dot_u8)(const std::uint8_t* a, std::size_t d);
   float (*self_dot_i8)(const std::int8_t* a, std::size_t d);
+
+  BlockArgmin (*nearest_l2_block)(const float* block, std::size_t width,
+                                  const float* q, std::size_t d);
 };
 
 // The tier's table, independent of what is active — this is how the

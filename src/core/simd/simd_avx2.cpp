@@ -292,6 +292,66 @@ void dot_norm2(const T* a, const T* b, std::size_t d, float& dot, float& na,
   nb = hsum8(bacc);
 }
 
+// --- k-means assignment ------------------------------------------------------
+
+// One register holds 8 centroids; lane register j accumulates dims
+// j, j + 8, ... of all 8 exactly as l2_kernel's lane j does for one
+// centroid, and the same halving tree folds them. Contraction is off so
+// every sum is mul-then-add, bit-identical to the generic tier. Lanes keep
+// their first minimum (strict <); the final fold takes the smallest index
+// among the lanes holding the minimum.
+__attribute__((optimize("fp-contract=off"))) BlockArgmin nearest_l2_block(
+    const float* block, std::size_t width, const float* q, std::size_t d) {
+  __m256 best_d = _mm256_set1_ps(__builtin_inff());
+  __m256i best_i = _mm256_setzero_si256();
+  __m256i ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i step = _mm256_set1_epi32(8);
+  for (std::size_t c = 0; c < width; c += 8) {
+    const float* col = block + c;
+    __m256 acc[8];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm256_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < 8; ++j) {
+        __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(col + (i + j) * width),
+                                    _mm256_set1_ps(q[i + j]));
+        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(diff, diff));
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (i + j < d) {
+        __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(col + (i + j) * width),
+                                    _mm256_set1_ps(q[i + j]));
+        acc[j] = _mm256_add_ps(acc[j], _mm256_mul_ps(diff, diff));
+      }
+    }
+    __m256 s0 = _mm256_add_ps(acc[0], acc[4]);
+    __m256 s1 = _mm256_add_ps(acc[1], acc[5]);
+    __m256 s2 = _mm256_add_ps(acc[2], acc[6]);
+    __m256 s3 = _mm256_add_ps(acc[3], acc[7]);
+    __m256 dist = _mm256_add_ps(_mm256_add_ps(s0, s2), _mm256_add_ps(s1, s3));
+    __m256 lt = _mm256_cmp_ps(dist, best_d, _CMP_LT_OQ);
+    best_d = _mm256_blendv_ps(best_d, dist, lt);
+    best_i = _mm256_blendv_epi8(best_i, ids, _mm256_castps_si256(lt));
+    ids = _mm256_add_epi32(ids, step);
+  }
+  alignas(32) float dists[8];
+  alignas(32) std::uint32_t idx[8];
+  _mm256_store_ps(dists, best_d);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(idx), best_i);
+  BlockArgmin best{idx[0], dists[0]};
+  for (std::size_t l = 1; l < 8; ++l) {
+    if (dists[l] < best.dist ||
+        (dists[l] == best.dist && idx[l] < best.index)) {
+      best = {idx[l], dists[l]};
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 const KernelTable* avx2_table() {
@@ -312,6 +372,7 @@ const KernelTable* avx2_table() {
       self_dot<float>,
       self_dot<std::uint8_t>,
       self_dot<std::int8_t>,
+      nearest_l2_block,
   };
   return &table;
 }

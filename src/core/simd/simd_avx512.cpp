@@ -288,6 +288,59 @@ void dot_norm2(const T* a, const T* b, std::size_t d, float& dot, float& na,
   nb = hsum16(bacc);
 }
 
+// --- k-means assignment ------------------------------------------------------
+
+// One register holds 16 centroids; lane register j accumulates dims
+// j, j + 8, ... of all 16 exactly as l2_kernel's lane j does for one
+// centroid, and the same halving tree folds them. Contraction is off so
+// every sum is mul-then-add, bit-identical to the generic tier. Lanes keep
+// their first minimum (strict <); the final fold takes the smallest index
+// among the lanes holding the minimum.
+__attribute__((optimize("fp-contract=off"))) BlockArgmin nearest_l2_block(
+    const float* block, std::size_t width, const float* q, std::size_t d) {
+  __m512 best_d = _mm512_set1_ps(__builtin_inff());
+  __m512i best_i = _mm512_setzero_si512();
+  __m512i ids = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                  13, 14, 15);
+  const __m512i step = _mm512_set1_epi32(16);
+  for (std::size_t c = 0; c < width; c += 16) {
+    const float* col = block + c;
+    __m512 acc[8];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) acc[j] = _mm512_setzero_ps();
+    std::size_t i = 0;
+    for (; i + 8 <= d; i += 8) {
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < 8; ++j) {
+        __m512 diff = _mm512_sub_ps(_mm512_loadu_ps(col + (i + j) * width),
+                                    _mm512_set1_ps(q[i + j]));
+        acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(diff, diff));
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < 8; ++j) {
+      if (i + j < d) {
+        __m512 diff = _mm512_sub_ps(_mm512_loadu_ps(col + (i + j) * width),
+                                    _mm512_set1_ps(q[i + j]));
+        acc[j] = _mm512_add_ps(acc[j], _mm512_mul_ps(diff, diff));
+      }
+    }
+    __m512 s0 = _mm512_add_ps(acc[0], acc[4]);
+    __m512 s1 = _mm512_add_ps(acc[1], acc[5]);
+    __m512 s2 = _mm512_add_ps(acc[2], acc[6]);
+    __m512 s3 = _mm512_add_ps(acc[3], acc[7]);
+    __m512 dist = _mm512_add_ps(_mm512_add_ps(s0, s2), _mm512_add_ps(s1, s3));
+    __mmask16 lt = _mm512_cmp_ps_mask(dist, best_d, _CMP_LT_OQ);
+    best_d = _mm512_mask_mov_ps(best_d, lt, dist);
+    best_i = _mm512_mask_mov_epi32(best_i, lt, ids);
+    ids = _mm512_add_epi32(ids, step);
+  }
+  const float min_d = _mm512_reduce_min_ps(best_d);
+  const __mmask16 at_min =
+      _mm512_cmp_ps_mask(best_d, _mm512_set1_ps(min_d), _CMP_EQ_OQ);
+  return {_mm512_mask_reduce_min_epu32(at_min, best_i), min_d};
+}
+
 }  // namespace
 
 const KernelTable* avx512_table() {
@@ -308,6 +361,7 @@ const KernelTable* avx512_table() {
       self_dot<float>,
       self_dot<std::uint8_t>,
       self_dot<std::int8_t>,
+      nearest_l2_block,
   };
   return &table;
 }

@@ -72,18 +72,16 @@ class ProductQuantizer {
     return pq;
   }
 
-  // Encode all points to m-byte codes (row-major n x m).
+  // Encode all points to m-byte codes (row-major n x m). Each row is cast
+  // to float once; subspaces are contiguous, so each codebook reads its
+  // slice in place.
   std::vector<std::uint8_t> encode(const PointSet<T>& points) const {
     std::vector<std::uint8_t> codes(points.size() * m_);
-    parlay::parallel_for(0, points.size(), [&](std::size_t i) {
-      const T* row = points[static_cast<PointId>(i)];
+    std::vector<CentroidBlock> blocks(codebooks_.begin(), codebooks_.end());
+    for_each_float_row(points, [&](std::size_t i, const float* row) {
       for (std::uint32_t s = 0; s < m_; ++s) {
-        std::vector<float> sub(sub_dims_[s]);
-        for (std::size_t j = 0; j < sub_dims_[s]; ++j) {
-          sub[j] = static_cast<float>(row[sub_offsets_[s] + j]);
-        }
         codes[i * m_ + s] = static_cast<std::uint8_t>(
-            nearest_centroid(codebooks_[s], sub.data(), sub_dims_[s]));
+            blocks[s].nearest(row + sub_offsets_[s]));
       }
     });
     return codes;
@@ -144,6 +142,9 @@ class ProductQuantizer {
     }
     return out;
   }
+
+  // Bitwise: same layout and bit-identical codebooks.
+  bool operator==(const ProductQuantizer&) const = default;
 
   std::uint32_t num_subspaces() const { return m_; }
   std::size_t max_codes() const {

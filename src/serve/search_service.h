@@ -545,6 +545,7 @@ class SearchService {
           " elements but the index holds dims " + std::to_string(dims_));
     }
     internal::require_finite(query, "SearchService::submit");
+    internal::require_finite(params, "SearchService::submit");
     if (filter.uses_labels() && !index_snapshot()->has_labels()) {
       throw std::invalid_argument(
           "SearchService::submit: FilterSpec references labels but the "

@@ -323,4 +323,56 @@ TEST(AnyIndexInputDomain, NonFiniteFloatInputsRejected) {
   EXPECT_EQ(index.search(queries[0], qp).size(), 5u);
 }
 
+// The float fields of the search parameters are held to the same domain on
+// every dtype: NaN or +-inf epsilon, filter_beam_factor or radius throws
+// ann::invalid_input at every entry point that takes them.
+TEST(AnyIndexInputDomain, NonFiniteSearchParamsRejected) {
+  constexpr std::size_t kDims = 8;
+  const auto base = ann::make_uniform<std::uint8_t>(300, kDims, 0, 255, 5);
+  const auto queries = ann::make_uniform<std::uint8_t>(4, kDims, 0, 255, 6);
+  auto index = ann::make_index(
+      {.algorithm = "diskann", .metric = "euclidean", .dtype = "uint8"});
+  index.build(base);
+  index.attach_quantized({.kind = ann::QuantKind::kInt8});
+  ann::LabelStore labels;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    labels.add_point_names({i % 2 == 0 ? "even" : "odd"});
+  }
+  index.attach_labels(std::move(labels));
+  const auto even = ann::FilterSpec::match_any(index.labels(), {"even"});
+  const std::vector<ann::FilterSpec> filters(queries.size(), even);
+  const std::uint8_t* query = queries[0];
+
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    for (const bool bad_epsilon : {true, false}) {
+      SCOPED_TRACE(bad_epsilon ? "epsilon" : "filter_beam_factor");
+      QueryParams qp{.beam_width = 16, .k = 5};
+      (bad_epsilon ? qp.epsilon : qp.filter_beam_factor) = bad;
+      EXPECT_THROW(index.search(query, qp), ann::invalid_input);
+      EXPECT_THROW(index.batch_search(queries, qp), ann::invalid_input);
+      EXPECT_THROW(index.filtered_search(query, even, qp),
+                   ann::invalid_input);
+      EXPECT_THROW(index.filtered_batch_search(queries, even, qp),
+                   ann::invalid_input);
+      EXPECT_THROW(index.filtered_batch_search(
+                       queries, std::span<const ann::FilterSpec>(filters), qp),
+                   ann::invalid_input);
+      EXPECT_THROW(index.quantized_search(query, qp), ann::invalid_input);
+      EXPECT_THROW(index.quantized_batch_search(queries, qp),
+                   ann::invalid_input);
+    }
+    EXPECT_THROW(index.range_search(query, bad), ann::invalid_input);
+    ann::RangeSearchParams rp;
+    rp.radius = bad;
+    EXPECT_THROW(index.range_search(query, rp), ann::invalid_input);
+  }
+  // Finite parameters, including the auto filter factor, still work.
+  const QueryParams ok{.beam_width = 16, .k = 5, .epsilon = 0.1f};
+  EXPECT_EQ(index.search(query, ok).size(), 5u);
+  EXPECT_FALSE(index.filtered_search(query, even, ok).empty());
+}
+
 }  // namespace

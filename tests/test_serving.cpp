@@ -855,6 +855,40 @@ TEST(SearchService, NonFiniteFloatQueriesRejectedAtSubmit) {
   EXPECT_EQ(service.submit(ok[0], qp).get().size(), 5u);
 }
 
+// The same synchronous refusal for NaN or +-inf in the float fields of the
+// request's QueryParams, on an integer index too.
+TEST(SearchService, NonFiniteQueryParamsRejectedAtSubmit) {
+  const auto& ds = dataset();
+  AnyIndex index = make_built_index();
+  index.attach_quantized({.kind = QuantKind::kInt8});
+  const auto predicate = FilterSpec::where([](PointId) { return true; });
+  SearchService<std::uint8_t> service(std::move(index), {});
+  const std::span<const std::uint8_t> query(ds.queries[0],
+                                            ds.queries.dims());
+  auto never = [](std::vector<Neighbor>, std::exception_ptr) {
+    ADD_FAILURE() << "callback ran for a rejected request";
+  };
+
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    SCOPED_TRACE(bad);
+    for (const bool bad_epsilon : {true, false}) {
+      SCOPED_TRACE(bad_epsilon ? "epsilon" : "filter_beam_factor");
+      QueryParams qp{.beam_width = 16, .k = 5};
+      (bad_epsilon ? qp.epsilon : qp.filter_beam_factor) = bad;
+      EXPECT_THROW(service.submit(query, qp), invalid_input);
+      EXPECT_THROW(service.submit(query, qp, never), invalid_input);
+      EXPECT_THROW(service.submit(query, predicate, qp), invalid_input);
+      EXPECT_THROW(service.submit_quantized(query, qp), invalid_input);
+      EXPECT_THROW(service.submit_batch(ds.queries, qp), invalid_input);
+    }
+  }
+  EXPECT_EQ(service.stats().submitted, 0u);
+  EXPECT_EQ(service.submit(query, {.beam_width = 16, .k = 5}).get().size(),
+            5u);
+}
+
 // The serve() convenience factory wires the same machinery.
 TEST(SearchService, ServeFactoryRoundTrip) {
   const auto& ds = dataset();

@@ -14,12 +14,18 @@
 //     with each other — within a documented reassociation bound, including
 //     on adversarial values (denormals, large-magnitude cancellation,
 //     zero-norm cosine);
-//   * a tier is a pure function: repeated calls are bitwise identical.
+//   * a tier is a pure function: repeated calls are bitwise identical;
+//   * nearest_l2_block (the k-means assignment kernel) is BIT-identical on
+//     every tier to a row-major l2_kernel scan: same index, same distance
+//     bits, ties to the smaller index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
@@ -316,6 +322,123 @@ TEST(SimdKernels, CosineZeroNormReturnsOneOnEveryTier) {
       auto prep = ann::Cosine::prepare(zero.data(), d);
       EXPECT_EQ(ann::Cosine::eval(prep, zero.data(), ones.data(), d), 1.0f)
           << ann::simd::tier_name(tier) << " d=" << d;
+    }
+  }
+}
+
+// --- k-means assignment kernel -----------------------------------------------
+
+// The +inf-padded dims-major block of kernel_table.h.
+std::vector<float> centroid_block(const std::vector<std::vector<float>>& rows,
+                                  std::size_t d, std::size_t& width) {
+  const std::size_t w = ann::simd::kCentroidBlockWidth;
+  width = (rows.size() + w - 1) / w * w;
+  std::vector<float> block(d * width, std::numeric_limits<float>::infinity());
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    for (std::size_t j = 0; j < d; ++j) block[j * width + c] = rows[c][j];
+  }
+  return block;
+}
+
+// The assignment k-means ran before the kernel existed: one generic
+// l2_kernel per centroid row, first strict minimum.
+ann::simd::BlockArgmin row_scan(const std::vector<std::vector<float>>& rows,
+                                const float* q, std::size_t d) {
+  ann::simd::BlockArgmin best{0, std::numeric_limits<float>::infinity()};
+  for (std::size_t c = 0; c < rows.size(); ++c) {
+    const float dist =
+        ann::internal::l2_kernel<float, float, float>(rows[c].data(), q, d);
+    if (dist < best.dist) best = {static_cast<std::uint32_t>(c), dist};
+  }
+  return best;
+}
+
+void expect_block_matches_scan(const std::vector<std::vector<float>>& rows,
+                               const std::vector<float>& q, std::size_t d,
+                               const char* label) {
+  std::size_t width = 0;
+  const std::vector<float> block = centroid_block(rows, d, width);
+  const ann::simd::BlockArgmin want = row_scan(rows, q.data(), d);
+  for (Tier tier : available_tiers()) {
+    const ann::simd::KernelTable* t = ann::simd::table_for(tier);
+    const ann::simd::BlockArgmin got =
+        t->nearest_l2_block(block.data(), width, q.data(), d);
+    EXPECT_EQ(got.index, want.index)
+        << label << " tier=" << t->name << " d=" << d << " k=" << rows.size();
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got.dist),
+              std::bit_cast<std::uint32_t>(want.dist))
+        << label << " tier=" << t->name << " d=" << d << " k=" << rows.size()
+        << " got " << got.dist << " want " << want.dist;
+  }
+}
+
+std::vector<std::vector<float>> float_rows(std::size_t k, std::size_t d,
+                                           std::uint64_t seed) {
+  auto pts = ann::make_uniform<float>(k, d, -50.0, 50.0, seed);
+  std::vector<std::vector<float>> rows(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    rows[c].assign(pts[static_cast<ann::PointId>(c)],
+                   pts[static_cast<ann::PointId>(c)] + d);
+  }
+  return rows;
+}
+
+// Bit-equal distances, not just equal indices: a kernel whose mul+add got
+// fused into fma still picks the same centroid almost always, so only the
+// distance bits show the changed summation.
+TEST(SimdKernels, NearestL2BlockBitIdenticalToRowScanOnEveryTier) {
+  for (std::size_t d : {1, 7, 8, 9, 17, 128, 200}) {
+    for (std::size_t k : {1, 15, 16, 17, 100, 256}) {
+      const auto rows = float_rows(k, d, 1000 * d + k);
+      for (std::uint64_t qs = 0; qs < 8; ++qs) {
+        const auto q = float_rows(1, d, 7 + qs * 131 + d * k)[0];
+        expect_block_matches_scan(rows, q, d, "random");
+      }
+      // A query equal to a centroid.
+      expect_block_matches_scan(rows, rows[k / 2], d, "query==centroid");
+      // Every centroid repeated from a pool of three: ties everywhere, and
+      // the query sits on a repeated one.
+      auto dup = rows;
+      for (std::size_t c = 0; c < k; ++c) dup[c] = rows[c % 3];
+      expect_block_matches_scan(dup, rows[std::min<std::size_t>(k - 1, 2)],
+                                d, "duplicates");
+      expect_block_matches_scan(dup, float_rows(1, d, 99 + d)[0], d,
+                                "duplicates/random");
+    }
+  }
+}
+
+TEST(SimdKernels, NearestL2BlockTiePicksSmallerIndexOnEveryTier) {
+  const std::size_t d = 8;
+  auto rows = float_rows(40, d, 5);
+  rows[33] = rows[21];
+  rows[38] = rows[21];
+  for (Tier tier : available_tiers()) {
+    std::size_t width = 0;
+    const std::vector<float> block = centroid_block(rows, d, width);
+    const auto got = ann::simd::table_for(tier)->nearest_l2_block(
+        block.data(), width, rows[38].data(), d);
+    EXPECT_EQ(got.index, 21u) << ann::simd::tier_name(tier);
+    EXPECT_EQ(got.dist, 0.0f) << ann::simd::tier_name(tier);
+  }
+}
+
+// Every distance overflows to +inf: the row scan never improves on its
+// starting {0, +inf}, and every tier must return exactly that.
+TEST(SimdKernels, NearestL2BlockAllInfiniteReturnsZeroOnEveryTier) {
+  for (std::size_t k : {1, 17, 100}) {
+    const std::size_t d = 9;
+    std::vector<std::vector<float>> rows(k, std::vector<float>(d, 3.0e30f));
+    const std::vector<float> q(d, -3.0e30f);
+    expect_block_matches_scan(rows, q, d, "all +inf");
+    std::size_t width = 0;
+    const std::vector<float> block = centroid_block(rows, d, width);
+    for (Tier tier : available_tiers()) {
+      const auto got = ann::simd::table_for(tier)->nearest_l2_block(
+          block.data(), width, q.data(), d);
+      EXPECT_EQ(got.index, 0u) << ann::simd::tier_name(tier);
+      EXPECT_EQ(got.dist, std::numeric_limits<float>::infinity())
+          << ann::simd::tier_name(tier);
     }
   }
 }
