@@ -2,7 +2,8 @@
 //
 // Per the paper's layout optimization (§4.5): "the edge-list for each vertex
 // is kept at a fixed length so we can calculate its offset from the vertex
-// id" — no indirection, one contiguous allocation.
+// id" — no indirection, one contiguous allocation. It starts on a cache
+// line, so with max_degree a multiple of 16 every list is whole lines.
 //
 // Concurrency contract: distinct vertices may be written concurrently (the
 // batch algorithms partition writes by vertex); a single vertex must not be
@@ -134,7 +135,7 @@ class Graph {
   // must already be <= new_max_degree (the builders' post-prune invariant).
   void compact(std::uint32_t new_max_degree) {
     if (new_max_degree >= max_degree_) return;
-    std::vector<PointId> packed(
+    CacheAlignedVector<PointId> packed(
         n_ * static_cast<std::size_t>(new_max_degree), kInvalidPoint);
     parlay::parallel_for(0, n_, [&](std::size_t v) {
       assert(sizes_[v] <= new_max_degree);
@@ -197,7 +198,7 @@ class Graph {
   std::size_t n_;
   std::uint32_t max_degree_;
   std::vector<std::uint32_t> sizes_;
-  std::vector<PointId> edges_;
+  CacheAlignedVector<PointId> edges_;
   // Cached num_edges(); -1 = stale. Mutable: memoization under const reads.
   // Ordering proof (all accesses relaxed): the cached value is
   // self-contained — num_edges() returns the loaded integer itself and

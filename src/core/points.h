@@ -3,7 +3,11 @@
 // A PointSet<T> owns an n x d row-major array of coordinates with rows
 // aligned to 64 bytes (cache line / SIMD friendly), mirroring the paper's
 // "avoid levels of indirection" layout rule (§4.5): a point's coordinates
-// are found by arithmetic on its id, never by chasing pointers.
+// are found by arithmetic on its id, never by chasing pointers. Rows are
+// padded to a multiple of 64 bytes and the array starts on a cache line:
+// with malloc's 16-byte alignment alone, a 128-byte row spans 3 lines
+// instead of 2 whenever the heap places the array off a line, and search
+// speed then depends on the allocation history.
 //
 // T is one of: uint8_t (BIGANN-style), int8_t (MSSPACEV-style),
 // float (TEXT2IMAGE-style).
@@ -16,6 +20,44 @@
 #include <vector>
 
 namespace ann {
+
+inline constexpr std::size_t kCacheLine = 64;
+
+// std::allocator with the base aligned to a cache line. It over-allocates
+// by one line and keeps the raw pointer just below the aligned one, so
+// every request for n elements asks malloc for the same n-dependent size.
+// (Aligned operator new does not: glibc's memalign asks for more than it
+// keeps, and the holes freed arrays leave are too small for the next
+// array of the same size, so a repeated build grows the heap.)
+template <typename T>
+struct CacheAlignedAllocator {
+  using value_type = T;
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
+
+  CacheAlignedAllocator() = default;
+  template <typename U>
+  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    void* raw = ::operator new(n * sizeof(T) + kCacheLine);
+    const std::uintptr_t base =
+        (reinterpret_cast<std::uintptr_t>(raw) + kCacheLine) &
+        ~std::uintptr_t{kCacheLine - 1};
+    reinterpret_cast<void**>(base)[-1] = raw;
+    return reinterpret_cast<T*>(base);
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+
+  template <typename U>
+  bool operator==(const CacheAlignedAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+template <typename T>
+using CacheAlignedVector = std::vector<T, CacheAlignedAllocator<T>>;
 
 using PointId = std::uint32_t;
 inline constexpr PointId kInvalidPoint = static_cast<PointId>(-1);
@@ -106,7 +148,7 @@ class PointSet {
   std::size_t n_;
   std::size_t d_;
   std::size_t stride_;  // elements per row including padding
-  std::vector<T> data_;
+  CacheAlignedVector<T> data_;
 };
 
 }  // namespace ann
